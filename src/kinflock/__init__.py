@@ -1,6 +1,6 @@
 """Kinetic and agent-based flocking solvers with cut-off interaction."""
 
-from .phase import AgentState, Ensemble, HeadingState, LocalMoments, PhaseParticle
+from .phase import AgentState, Ensemble, HeadingState, LocalMoments
 from .spatial import SpatialIndex, build_index, query_radius
 
 __all__ = [
@@ -8,7 +8,6 @@ __all__ = [
     "Ensemble",
     "HeadingState",
     "LocalMoments",
-    "PhaseParticle",
     "SpatialIndex",
     "build_index",
     "query_radius",

@@ -24,7 +24,8 @@ class InteractionKernel:
     """Pair interaction weight psi(s) >= 0, non-increasing.
 
     kind "indicator": psi(s) = 1 for s < r, else 0 (strict cut-off).
-    kind "smooth": arbitrary callable, validated to be non-negative and
+    kind "smooth": elementwise callable on arrays (a constant such as
+    `lambda s: 1.0` is broadcast), validated to be non-negative and
     non-increasing on a sample of radii.
     """
 
@@ -39,8 +40,7 @@ class InteractionKernel:
         elif self.kind == "smooth":
             if self.psi is None:
                 raise InvalidInputError("smooth kernel needs a callable psi")
-            s = np.linspace(0.0, 10.0, 64)
-            vals = np.asarray([float(self.psi(si)) for si in s])
+            vals = self(np.linspace(0.0, 10.0, 64))
             if np.any(vals < 0):
                 raise InvalidInputError("kernel must be non-negative")
             if np.any(np.diff(vals) > 1e-12):
@@ -52,7 +52,7 @@ class InteractionKernel:
         s = np.asarray(s, dtype=float)
         if self.kind == "indicator":
             return (np.abs(s) < self.r).astype(float)
-        return np.vectorize(self.psi, otypes=[float])(s)
+        return np.broadcast_to(np.asarray(self.psi(s), dtype=float), s.shape)
 
     def at_zero(self):
         return float(self(0.0))
@@ -76,14 +76,12 @@ def vicsek_step(state: HeadingState, r, noise_amplitude, rng):
     new_head = state.headings.copy()
     if n:
         index = SpatialIndex(state.positions, r)
-        cos_t = np.cos(state.headings)
-        sin_t = np.sin(state.headings)
-        for i in range(n):
-            nbr = index.query_radius(state.positions[i], r)
-            sc, ss = cos_t[nbr].sum(), sin_t[nbr].sum()
-            if sc * sc + ss * ss <= (len(nbr) * 1e-14) ** 2:
-                continue  # numerically undefined mean direction: keep heading
-            new_head[i] = np.arctan2(ss, sc)
+        count, sc, ss = index.neighborhood_sums(
+            state.positions, r,
+            np.column_stack([np.ones(n), np.cos(state.headings), np.sin(state.headings)])).T
+        # a numerically undefined mean direction keeps the heading
+        defined = sc * sc + ss * ss > (count * 1e-14) ** 2
+        new_head[defined] = np.arctan2(ss[defined], sc[defined])
         if noise_amplitude > 0:
             new_head += rng.uniform(-noise_amplitude / 2, noise_amplitude / 2, size=n)
     return HeadingState(state.t + 1, new_pos, wrap_angle(new_head), state.speed)
@@ -106,15 +104,10 @@ def cutoff_cs_rhs(state: AgentState, lam, r):
     N_i counts the strict-radius neighborhood including i itself."""
     if not (r > 0):
         raise InvalidInputError("r must be positive")
-    n = state.n
-    acc = np.zeros((n, state.dim))
-    if n == 0:
-        return acc
-    index = SpatialIndex(state.positions, r)
-    for i in range(n):
-        nbr = index.query_radius(state.positions[i], r)
-        acc[i] = lam * (state.velocities[nbr].mean(axis=0) - state.velocities[i])
-    return acc
+    v = state.velocities
+    sums = SpatialIndex(state.positions, r).neighborhood_sums(
+        state.positions, r, np.column_stack([np.ones(state.n), v]))
+    return lam * (sums[:, 1:] / sums[:, :1] - v)
 
 
 def mt_rhs(state: AgentState, lam, kernel: InteractionKernel):

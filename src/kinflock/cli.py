@@ -29,7 +29,7 @@ def _cmd_run(args):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run(cfg, args.out, threads=args.threads)
+        report = run(cfg, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -112,7 +112,7 @@ def build_parser():
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads (must not affect results)")
+                       help="accepted for compatibility; has no effect")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a scenario config")

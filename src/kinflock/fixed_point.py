@@ -11,11 +11,10 @@ point; convergence is reported, never assumed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import InvalidInputError, InvariantViolationError
 from .kinetic import advance_characteristics, moments_at_points
@@ -47,7 +46,6 @@ class FieldGrid:
         if self.values.shape != expected:
             raise InvalidInputError(
                 f"values shape {self.values.shape} != expected {expected}")
-        self._interp = None
 
     @property
     def dim(self):
@@ -64,32 +62,28 @@ class FieldGrid:
             return 0.0
         return float(np.sqrt((self.values ** 2).sum(axis=-1)).max())
 
-    def _build_interp(self):
-        pts = (self.times,) + self.axes
-        squeeze = [i for i, p in enumerate(pts) if len(p) == 1]
-        grid = tuple(p for p in pts if len(p) > 1)
-        vals = np.squeeze(self.values, axis=tuple(squeeze)) if squeeze else self.values
-        if not grid:
-            const = vals.reshape(self.dim)
-            self._interp = lambda q: np.broadcast_to(const, (len(q), self.dim)).copy()
-            self._active = []
-            return
-        rgi = RegularGridInterpolator(grid, vals, method="linear",
-                                      bounds_error=False, fill_value=None)
-        active = [i for i in range(len(pts)) if len(pts[i]) > 1]
-        self._interp = lambda q: rgi(q[:, active])
-        self._active = active
-
     def evaluate(self, t, X):
-        """Interpolated field at time t and points X (N, d)."""
+        """Interpolated field at time t and points X (N, d): the 2^(d+1)
+        corners of each clamped query's node cell, weighted by prod(1-y or y);
+        an axis with a single node contributes it with weight 1."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._interp is None:
-            self._build_interp()
-        q = np.empty((len(X), 1 + self.dim))
-        q[:, 0] = np.clip(t, self.times[0], self.times[-1])
-        for k in range(self.dim):
-            q[:, 1 + k] = np.clip(X[:, k], self.axes[k][0], self.axes[k][-1])
-        return np.asarray(self._interp(q), dtype=float).reshape(len(X), self.dim)
+        coords = [np.full(len(X), float(t))] + [X[:, k] for k in range(self.dim)]
+        corners = []
+        for nodes, q in zip((self.times,) + self.axes, coords):
+            q = np.clip(q, nodes[0], nodes[-1])
+            if len(nodes) == 1:
+                corners.append([(np.zeros(len(q), dtype=np.intp), 1.0)])
+                continue
+            i = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, len(nodes) - 2)
+            y = (q - nodes[i]) / (nodes[i + 1] - nodes[i])
+            corners.append([(i, 1.0 - y), (i + 1, y)])
+        out = np.zeros((len(X), self.dim))
+        for corner in itertools.product(*corners):
+            weight = np.ones(len(X))
+            for _, w in corner:
+                weight = weight * w
+            out = out + self.values[tuple(i for i, _ in corner)] * weight[:, None]
+        return out
 
     def copy_with_values(self, values):
         return FieldGrid(self.times.copy(), self.axes, np.asarray(values, float), self.bound)

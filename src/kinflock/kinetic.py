@@ -12,7 +12,6 @@ masses exactly constant.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,7 +35,6 @@ class InitialDistributionSpec:
                                   to the stated boxes
       two_bump                 two Gaussian bumps at opposite positions and
                                velocities
-      custom_grid              explicit callable f0(x, v)
     sampling: ("tensor_grid", n_x, n_v) or ("monte_carlo", N, seed)
     """
 
@@ -51,7 +49,6 @@ class InitialDistributionSpec:
     v_centers: Optional[np.ndarray] = None
     x_sigma: float = 0.25
     v_sigma: float = 0.25
-    custom_f0: Optional[object] = None
 
     def __post_init__(self):
         self.x_bounds = np.asarray(self.x_bounds, dtype=float).reshape(self.dim, 2)
@@ -67,8 +64,6 @@ class InitialDistributionSpec:
                                        self.x_bounds.mean(axis=1) + 0.5])
             self.v_centers = np.stack([self.v_bounds.mean(axis=1) + 0.5,
                                        self.v_bounds.mean(axis=1) - 0.5])
-        if self.kind == "custom_grid" and self.custom_f0 is None:
-            raise InvalidInputError("custom_grid spec needs custom_f0 callable")
 
     @property
     def support_bound(self):
@@ -100,8 +95,6 @@ class InitialDistributionSpec:
                     -((x - xc[k]) ** 2).sum(axis=1) / (2 * self.x_sigma ** 2)
                     - ((v - vc[k]) ** 2).sum(axis=1) / (2 * self.v_sigma ** 2)
                 )
-        elif self.kind == "custom_grid":
-            vals = np.asarray(self.custom_f0(x, v), dtype=float).reshape(len(x))
         else:
             raise InvalidInputError(f"unknown initial kind {self.kind!r}")
         return np.where(inside, vals, 0.0)
@@ -142,7 +135,8 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
     elif mode == "monte_carlo":
         _, n_particles, seed = spec.sampling
         rng = np.random.default_rng(seed) if rng is None else rng
-        sup = _sup_density(spec)
+        # f0 peaks at the amplitude, or below twice it where two bumps overlap
+        sup = 2 * spec.amplitude if spec.kind == "two_bump" else spec.amplitude
         total = _total_mass(spec)
         if total == 0.0 or n_particles == 0:
             xx = np.zeros((0, d)); vv = np.zeros((0, d))
@@ -173,27 +167,10 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
     )
 
 
-def _sup_density(spec):
-    if spec.kind == "box_indicator":
-        return spec.amplitude
-    if spec.kind == "two_bump":
-        return 2 * spec.amplitude
-    if spec.kind == "product_gaussian_truncated":
-        return spec.amplitude
-    # probe on a grid for custom densities
-    grid = sample_initial_grid_values(spec)
-    return float(grid.max()) * 1.05 + 1e-300
-
-
 def _total_mass(spec, n=None):
     """Midpoint quadrature of f0 over its bounding boxes."""
     vals, cellvol = _grid_eval(spec, n)
     return float(vals.sum() * cellvol)
-
-
-def sample_initial_grid_values(spec, n=None):
-    vals, _ = _grid_eval(spec, n)
-    return vals
 
 
 def _grid_eval(spec, n=None):
@@ -224,14 +201,8 @@ def local_moments(ensemble: Ensemble, x, r, index: Optional[SpatialIndex] = None
     if not (r > 0):
         raise InvalidInputError("r must be positive")
     x = np.asarray(x, dtype=float).reshape(-1)
-    if ensemble.n == 0:
-        return LocalMoments(0.0, np.zeros(ensemble.dim))
-    if index is None:
-        index = SpatialIndex(ensemble.x, r)
-    nbr = index.query_radius(x, r)
-    rho = float(ensemble.mass[nbr].sum())
-    j = (ensemble.mass[nbr, None] * ensemble.v[nbr]).sum(axis=0)
-    return LocalMoments(rho, j)
+    rho, j = moments_at_points(ensemble, x, r, index)
+    return LocalMoments(float(rho[0]), j[0])
 
 
 def velocity_field(ensemble: Ensemble, x, r, index=None):
@@ -251,30 +222,15 @@ def velocity_field_delta(ensemble: Ensemble, x, r, delta, index=None):
     return m.j / (delta + m.rho)
 
 
-def moments_at_points(ensemble: Ensemble, centers, r, index=None, threads=1):
-    """Vectorized (rho, j) evaluation at many probe points."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    m = len(centers)
-    rho = np.zeros(m)
-    j = np.zeros((m, ensemble.dim))
-    if ensemble.n == 0 or m == 0:
-        return rho, j
+def moments_at_points(ensemble: Ensemble, centers, r, index=None):
+    """(rho, j) at many probe points: neighbourhood sums of the weights
+    (m_j, m_j v_j) over the strict radius-r balls."""
     if index is None:
         index = SpatialIndex(ensemble.x, r)
-
-    def work(lo, hi):
-        for k in range(lo, hi):
-            nbr = index.query_radius(centers[k], r)
-            rho[k] = ensemble.mass[nbr].sum()
-            j[k] = (ensemble.mass[nbr, None] * ensemble.v[nbr]).sum(axis=0)
-
-    if threads > 1 and m > 64:
-        bounds = np.linspace(0, m, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda ab: work(*ab), zip(bounds[:-1], bounds[1:])))
-    else:
-        work(0, m)
-    return rho, j
+    mass = ensemble.mass
+    sums = index.neighborhood_sums(
+        centers, r, np.column_stack([mass, mass[:, None] * ensemble.v]))
+    return sums[:, 0], sums[:, 1:]
 
 
 def advance_characteristics(ensemble: Ensemble, field, dt):
@@ -309,6 +265,15 @@ def advance_characteristics(ensemble: Ensemble, field, dt):
     return out
 
 
+def _set_step(ens: Ensemble, ens0: Ensemble, step, dt):
+    """Time and growth factors from the step count, not accumulated: one
+    rounding per step would break the 1e-12 growth laws within 1e4 steps."""
+    ens.t = ens0.t + step * dt
+    grow = np.exp(ens.lam * ens.dim * (ens.t - ens0.t))
+    ens.density_value = ens0.density_value * grow
+    ens.phase_volume = ens0.phase_volume / grow
+
+
 @dataclass
 class KineticRunResult:
     snapshots: list = field(default_factory=list)  # list of Ensemble copies
@@ -324,11 +289,8 @@ def run_linear(ensemble0: Ensemble, field, T, dt, snapshot_stride=1):
     ens = ensemble0.copy()
     result = KineticRunResult([ens.copy()], [0])
     for step in range(1, n_steps + 1):
-        if ens.n:
-            ens = advance_characteristics(ens, field, dt)
-        else:
-            ens = ens.copy()
-            ens.t += dt
+        ens = advance_characteristics(ens, field, dt) if ens.n else ens.copy()
+        _set_step(ens, ensemble0, step, dt)
         if step % snapshot_stride == 0 or step == n_steps:
             result.snapshots.append(ens.copy())
             result.snapshot_steps.append(step)
@@ -336,7 +298,7 @@ def run_linear(ensemble0: Ensemble, field, T, dt, snapshot_stride=1):
 
 
 def run_self_consistent(ensemble0: Ensemble, T, dt, delta=0.0,
-                        snapshot_stride=1, threads=1):
+                        snapshot_stride=1):
     """Self-consistent nonlinear run: at each step rebuild the spatial
     index, evaluate the (regularized) mean velocity field at every particle
     position from the current ensemble, and advance one frozen-field step.
@@ -356,7 +318,7 @@ def run_self_consistent(ensemble0: Ensemble, T, dt, delta=0.0,
     for step in range(1, n_steps + 1):
         if ens.n:
             index = SpatialIndex(ens.x, r)
-            rho, j = moments_at_points(ens, ens.x, r, index=index, threads=threads)
+            rho, j = moments_at_points(ens, ens.x, r, index=index)
             if delta > 0:
                 E = j / (delta + rho)[:, None]
             else:
@@ -372,7 +334,7 @@ def run_self_consistent(ensemble0: Ensemble, T, dt, delta=0.0,
                     f"> M0={m0:.17g}", step=step, index=bad)
         else:
             ens = ens.copy()
-            ens.t += dt
+        _set_step(ens, ensemble0, step, dt)
         if step % snapshot_stride == 0 or step == n_steps:
             result.snapshots.append(ens.copy())
             result.snapshot_steps.append(step)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ResolutionError
+from .spatial import SpatialIndex
 
 
 @dataclass
@@ -139,6 +140,7 @@ def run_oracle(grid0: PhaseGrid, E, T, dt, snapshot_stride=1):
     steps = [0]
     for step in range(1, n_steps + 1):
         grid = semi_lagrangian_step(grid, E, dt)
+        grid.t = grid0.t + step * dt
         if step % snapshot_stride == 0 or step == n_steps:
             snaps.append(grid.copy())
             steps.append(step)
@@ -153,18 +155,14 @@ def oracle_lp_norm(grid: PhaseGrid, p):
 
 
 def oracle_moments(grid: PhaseGrid, centers, r):
-    """(rho_r, j_r) of the grid density at spatial probe points, via strict
-    radius filtering of the x cells and quadrature in v."""
+    """(rho_r, j_r) of the grid density at spatial probe points: neighbourhood
+    sums over the x cells in the strict radius-r ball, quadrature in v."""
     centers = np.asarray(centers, dtype=float).reshape(-1)
     rho_x = grid.values.sum(axis=1) * grid.dv  # spatial density per x cell
     j_x = (grid.values * grid.v_nodes[None, :]).sum(axis=1) * grid.dv
-    rho = np.zeros(len(centers))
-    j = np.zeros(len(centers))
-    for k, c in enumerate(centers):
-        sel = np.abs(grid.x_nodes - c) < r
-        rho[k] = rho_x[sel].sum() * grid.dx
-        j[k] = j_x[sel].sum() * grid.dx
-    return rho, j
+    sums = SpatialIndex(grid.x_nodes, r).neighborhood_sums(
+        centers, r, np.column_stack([rho_x, j_x]))
+    return sums[:, 0] * grid.dx, sums[:, 1] * grid.dx
 
 
 def quadrature_pushforward(grid: PhaseGrid, phi):

@@ -93,18 +93,6 @@ class HeadingState:
 
 
 @dataclass
-class PhaseParticle:
-    """A single weighted phase-space particle (view convenience; the solvers
-    operate on Ensemble arrays directly)."""
-
-    x: np.ndarray
-    v: np.ndarray
-    mass: float
-    density_value: float
-    phase_volume: float
-
-
-@dataclass
 class LocalMoments:
     """Mass rho and momentum j inside a radius-r spatial ball."""
 
@@ -170,19 +158,6 @@ class Ensemble:
         if self.n == 0:
             return 0.0
         return float(np.sqrt((self.v ** 2).sum(axis=1)).max())
-
-    @property
-    def particles(self):
-        return [
-            PhaseParticle(
-                self.x[i].copy(),
-                self.v[i].copy(),
-                float(self.mass[i]),
-                float(self.density_value[i]),
-                float(self.phase_volume[i]),
-            )
-            for i in range(self.n)
-        ]
 
     def copy(self):
         return Ensemble(

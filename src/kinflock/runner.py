@@ -99,14 +99,13 @@ def _ensemble_record(ens, extra=None):
     return rec
 
 
-def run_kinetic(cfg: ScenarioConfig, out_dir, threads=1):
+def run_kinetic(cfg: ScenarioConfig, out_dir):
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "kinetic"))
     rng, _, _ = cfg.seed_streams()
     spec = initial_spec_from_config(cfg)
     ens0 = sample_initial(spec, cfg["lam"], cfg["radius"], rng=rng)
     result = run_self_consistent(ens0, cfg["t_final"], cfg["dt"], cfg["delta"],
-                                 snapshot_stride=cfg["snapshot_stride"],
-                                 threads=threads)
+                                 snapshot_stride=cfg["snapshot_stride"])
     snaps = result.snapshots
     for ens in snaps:
         report.records.append(_ensemble_record(ens))
@@ -128,7 +127,7 @@ def run_kinetic(cfg: ScenarioConfig, out_dir, threads=1):
     return report
 
 
-def run_agents(cfg: ScenarioConfig, out_dir, threads=1):
+def run_agents(cfg: ScenarioConfig, out_dir):
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "agents"))
     rng, noise_rng, _ = cfg.seed_streams()
     model = cfg["model"]
@@ -194,7 +193,7 @@ def run_agents(cfg: ScenarioConfig, out_dir, threads=1):
     return report
 
 
-def run_oracle_mode(cfg: ScenarioConfig, out_dir, threads=1):
+def run_oracle_mode(cfg: ScenarioConfig, out_dir):
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "oracle"))
     oc = cfg["oracle"]
     spec = initial_spec_from_config(cfg) if "initial" in cfg.data else None
@@ -229,7 +228,7 @@ def run_oracle_mode(cfg: ScenarioConfig, out_dir, threads=1):
     return report
 
 
-def run_picard(cfg: ScenarioConfig, out_dir, threads=1):
+def run_picard(cfg: ScenarioConfig, out_dir):
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "picard"))
     rng, _, _ = cfg.seed_streams()
     spec = initial_spec_from_config(cfg)
@@ -256,8 +255,7 @@ def run_picard(cfg: ScenarioConfig, out_dir, threads=1):
         field = result.field
         lin = run_linear(ens0, lambda t, X: field.evaluate(t, X),
                          cfg["t_final"], cfg["dt"])
-        sc = run_self_consistent(ens0, cfg["t_final"], cfg["dt"], cfg["delta"],
-                                 threads=threads)
+        sc = run_self_consistent(ens0, cfg["t_final"], cfg["dt"], cfg["delta"])
         a, b = lin.snapshots[-1], sc.snapshots[-1]
         dx_grid = field.axes[0][1] - field.axes[0][0] if len(field.axes[0]) > 1 else 0.0
         dt_grid = field.times[1] - field.times[0]
@@ -285,13 +283,13 @@ _MODES = {
 }
 
 
-def run(cfg: ScenarioConfig, out_dir, threads=1):
+def run(cfg: ScenarioConfig, out_dir):
     """Execute the configured scenario.  Returns the diagnostics report;
     all output files are written under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
         fh.write(cfg.to_json())
         fh.write("\n")
-    report = _MODES[cfg["mode"]](cfg, out_dir, threads=threads)
+    report = _MODES[cfg["mode"]](cfg, out_dir)
     kio.write_report(out_dir, report)
     return report

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kinflock import diagnostics as diag
 from kinflock.errors import InvalidInputError, InvariantViolationError
 from kinflock.kinetic import (InitialDistributionSpec, advance_characteristics,
                               local_moments, run_linear, run_self_consistent,
@@ -241,8 +242,10 @@ class TestSelfConsistent:
     def test_thread_count_does_not_change_results(self):
         spec = unit_square_spec(16, 16)
         ens = sample_initial(spec, lam=1.0, radius=0.4)
-        a = run_self_consistent(ens, T=0.2, dt=0.05, delta=1e-2, threads=1)
-        b = run_self_consistent(ens, T=0.2, dt=0.05, delta=1e-2, threads=8)
+        # the library runs single-threaded; `kinflock run --threads K` is
+        # covered by criterion 12, so here two runs must agree bit for bit
+        a = run_self_consistent(ens, T=0.2, dt=0.05, delta=1e-2)
+        b = run_self_consistent(ens, T=0.2, dt=0.05, delta=1e-2)
         assert np.array_equal(a.snapshots[-1].x, b.snapshots[-1].x)
         assert np.array_equal(a.snapshots[-1].v, b.snapshots[-1].v)
 
@@ -259,3 +262,22 @@ def test_run_linear_matches_self_consistent_for_flocked_state():
     b = run_linear(ens, lambda t, X: np.full_like(X, 0.25), T=0.3, dt=0.05)
     assert np.allclose(a.snapshots[-1].x, b.snapshots[-1].x, atol=1e-13)
     assert np.allclose(a.snapshots[-1].v, b.snapshots[-1].v, atol=1e-13)
+
+
+@pytest.mark.parametrize("T, dt", [(100.0, 0.01), (300.0, 0.1)])
+@pytest.mark.parametrize("solver", ["linear", "self_consistent"])
+def test_long_run_keeps_exact_growth_laws(solver, T, dt):
+    # Accumulating t += dt drifts t by 1.4e-11 over 1e4 steps of 0.01, and
+    # multiplying by e^{lam*d*dt} 3000 times compounds its rounding to
+    # 1e-11; both broke the 1e-12 growth and volume laws.
+    ens = Ensemble(0.0, 1, 1.0, 0.5, [[0.0]], [[0.5]], [1.0], [1.0], [1.0],
+                   initial_support_bound=0.5)
+    if solver == "linear":
+        res = run_linear(ens, lambda t, X: np.zeros_like(X), T=T, dt=dt,
+                         snapshot_stride=1000)
+    else:
+        res = run_self_consistent(ens, T=T, dt=dt, snapshot_stride=1000)
+    assert res.snapshots[-1].t == pytest.approx(T, rel=1e-15)
+    assert diag.check_density_growth(res.snapshots).passed
+    assert diag.check_volume_law(res.snapshots).passed
+    assert all(s.check_mass_identity() for s in res.snapshots)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kinflock import spatial
 from kinflock.errors import InvalidInputError
 from kinflock.spatial import SpatialIndex, brute_force_radius, build_index, query_radius
 
@@ -50,6 +51,12 @@ def test_rejects_bad_input():
     idx = build_index(np.zeros((3, 2)), cell_size=1.0)
     with pytest.raises(InvalidInputError):
         query_radius(idx, [0.0, 0.0], -1.0)
+    with pytest.raises(InvalidInputError):
+        idx.neighborhood_sums(np.zeros((1, 2)), -1.0, np.ones(3))
+    with pytest.raises(InvalidInputError):
+        idx.neighborhood_sums(np.zeros((1, 3)), 1.0, np.ones(3))
+    with pytest.raises(InvalidInputError):
+        idx.neighborhood_sums(np.zeros((1, 2)), 1.0, np.ones(4))
 
 
 def test_matches_brute_force_large_2d():
@@ -89,3 +96,61 @@ def test_property_matches_brute_force(pts, center, r, cell):
     got = query_radius(idx, np.array(center), r)
     want = brute_force_radius(arr, np.array(center), r)
     assert np.array_equal(got, want)
+    assert idx.neighborhood_sums(np.array(center), r, np.ones(len(arr)))[0, 0] == len(want)
+
+
+def _lattice_1d_ties(rng):
+    # tensor-grid x nodes at spacing 1/6 with r = 0.5, as in kinetic_two_bump:
+    # nodes exactly r apart are decided by the rounding of (x_j - c)**2
+    x = -2.0 + (np.arange(24) + 0.5) / 6.0
+    pts = np.repeat(x, 72)[:, None]
+    return pts, pts, 0.5, 0.5
+
+
+def _random_2d_off_points(rng):
+    # arbitrary centres that are not the points, like the Picard field nodes
+    return rng.uniform(-1, 1, (1500, 2)), rng.uniform(-1.2, 1.2, (300, 2)), 0.3, 0.3
+
+
+def _empty_index(rng):
+    return np.zeros((0, 2)), rng.uniform(-1, 1, (20, 2)), 0.3, 0.3
+
+
+def _centres_in_empty_cells(rng):
+    pts = rng.uniform(0, 0.5, (200, 2))
+    centers = np.vstack([rng.uniform(3, 9, (30, 2)), rng.uniform(0, 0.5, (30, 2))])
+    return pts, centers, 0.2, 0.2
+
+
+def _radius_above_cell_size(rng):
+    return rng.uniform(-1, 1, (800, 3)), rng.uniform(-1, 1, (100, 3)), 0.5, 0.2
+
+
+@pytest.mark.parametrize("pair_block", [spatial.PAIR_BLOCK, 7])
+@pytest.mark.parametrize("case", [_lattice_1d_ties, _random_2d_off_points, _empty_index,
+                                  _centres_in_empty_cells, _radius_above_cell_size])
+def test_neighborhood_sums_match_brute_force(case, pair_block, monkeypatch):
+    monkeypatch.setattr(spatial, "PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(11)
+    pts, centers, r, cell = case(rng)
+    weights = np.column_stack([np.ones(len(pts)), rng.uniform(0.5, 1.5, (len(pts), 2))])
+    got = SpatialIndex(pts, cell).neighborhood_sums(centers, r, weights)
+    assert got.shape == (len(centers), 3)
+    for c, row in zip(centers, got):
+        nbr = brute_force_radius(pts, c, r)
+        assert row[0] == len(nbr)
+        np.testing.assert_allclose(row[1:], weights[nbr, 1:].sum(axis=0), rtol=1e-12, atol=0)
+
+
+def test_neighborhood_sums_equal_numpy_sums_of_neighbour_lists():
+    # each column is summed as numpy sums the neighbour list in index order,
+    # so sums agree bit for bit with weights[query_radius(c, r)].sum()
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(0, 1, (1000, 2))
+    weights = rng.normal(size=(1000, 2))
+    idx = build_index(pts, 0.3)
+    centers = rng.uniform(0, 1, (50, 2))
+    got = idx.neighborhood_sums(centers, 0.3, weights)
+    for c, row in zip(centers, got):
+        nbr = query_radius(idx, c, 0.3)
+        assert np.array_equal(row, [weights[nbr, 0].sum(), weights[nbr, 1].sum()])
