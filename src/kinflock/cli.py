@@ -6,7 +6,7 @@ Subcommands:
   diff-reports  compare two diagnostics.json files
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
-3 runtime/invariant abort.
+3 runtime/invariant abort or output error (e.g. `--out` cannot be written).
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ def _cmd_run(args):
         return 2
     except KinflockError as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 3
     failed = [c for c in report.assertions if not c.passed]
     for c in report.assertions:

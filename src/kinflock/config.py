@@ -3,8 +3,9 @@
 Unknown keys are rejected by the shipped schema (typos in scientific
 parameters should fail loudly).  A single 64-bit scenario seed is split
 into independent streams with numpy's SeedSequence in a fixed order:
-child 0 drives initial sampling, child 1 agent noise, child 2 diagnostics
-subsampling.
+child 0 drives initial sampling, child 1 agent noise; child 2 is reserved
+and unused (the Lipschitz estimate of picard mode samples with a fixed
+`default_rng(0)`, independent of the seed).
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class ScenarioConfig:
         return self.data.get(key, default)
 
     def seed_streams(self):
-        """(sampling_rng, noise_rng, diagnostics_rng), deterministically
+        """(sampling_rng, noise_rng, reserved_rng), deterministically
         derived from the scenario seed."""
         children = np.random.SeedSequence(self.data["seed"]).spawn(3)
         return tuple(np.random.default_rng(c) for c in children)
@@ -124,6 +125,10 @@ def validate_config(data: dict) -> ScenarioConfig:
             "lam*dt must be <= 1 to preserve the discrete velocity max "
             "principle; set allow_large_dt to override (support checks then "
             "downgrade to warnings)")
+    t_final, dt = merged["t_final"], merged["dt"]
+    if abs(round(t_final / dt) * dt - t_final) > 1e-9 * t_final:
+        raise ConfigError(f"t_final={t_final!r} is not a whole number of "
+                          f"steps of dt={dt!r}")
     if mode in ("kinetic", "picard") and "initial" not in data:
         raise ConfigError(f"{mode} mode requires an initial distribution spec")
     if mode == "agents" and merged["model"] != "vicsek" and "initial" not in data:

@@ -228,7 +228,9 @@ def _diameter(pts, chunk=512):
     best = 0.0
     for a in range(0, n, chunk):
         pa = pts[a:a + chunk]
-        d2 = ((pa[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        d2 = np.zeros((len(pa), n))
+        for k in range(pts.shape[1]):  # no (chunk, n, dim) temporary
+            d2 += (pa[:, k, None] - pts[None, :, k]) ** 2
         best = max(best, float(d2.max()))
     return float(np.sqrt(best))
 

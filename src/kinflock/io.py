@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
 
 import numpy as np
+
+ROWS_PER_WRITE = 1 << 14  # rows formatted and written per fh.write call
 
 
 def fmt(x):
@@ -14,11 +17,31 @@ def fmt(x):
     return f"{float(x):.17g}"
 
 
-def _write_rows(path, header, rows):
+def _write_csv(path, header, blocks):
+    """Write `header` and then each block `(n_rows, columns)`.  A column is
+    one str shared by every row, a list of n_rows str, or an array of n_rows
+    numbers rendered like `fmt`.  Rows are formatted and written in slices
+    of at most ROWS_PER_WRITE, so memory does not grow with the block."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for n, columns in blocks:
+            for a in range(0, n, ROWS_PER_WRITE):
+                b = min(a + ROWS_PER_WRITE, n)
+                cells = [_cells(c, a, b) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _cells(column, a, b):
+    """Rows a..b of one column as str cells."""
+    if isinstance(column, str):
+        return repeat(column, b - a)
+    if isinstance(column, list):
+        return column[a:b]
+    return [f"{c:.17g}" for c in column[a:b].tolist()]
+
+
+def _ids(n):
+    return [str(i) for i in range(n)]
 
 
 def write_particle_snapshots(path, snapshots, steps):
@@ -28,17 +51,10 @@ def write_particle_snapshots(path, snapshots, steps):
               + [f"x{k}" for k in range(dim)]
               + [f"v{k}" for k in range(dim)]
               + ["mass", "density_value", "phase_volume"])
-
-    def rows():
-        for step, ens in zip(steps, snapshots):
-            for i in range(ens.n):
-                yield ([str(step), fmt(ens.t), str(i)]
-                       + [fmt(c) for c in ens.x[i]]
-                       + [fmt(c) for c in ens.v[i]]
-                       + [fmt(ens.mass[i]), fmt(ens.density_value[i]),
-                          fmt(ens.phase_volume[i])])
-
-    _write_rows(path, header, rows())
+    _write_csv(path, header, (
+        (e.n, [str(step), fmt(e.t), _ids(e.n), *e.x.T, *e.v.T,
+               e.mass, e.density_value, e.phase_volume])
+        for step, e in zip(steps, snapshots)))
 
 
 def write_agent_snapshots(path, snapshots, steps):
@@ -46,41 +62,26 @@ def write_agent_snapshots(path, snapshots, steps):
     header = (["step", "t", "id"]
               + [f"x{k}" for k in range(dim)]
               + [f"v{k}" for k in range(dim)])
-
-    def rows():
-        for step, st in zip(steps, snapshots):
-            for i in range(st.n):
-                yield ([str(step), fmt(st.t), str(i)]
-                       + [fmt(c) for c in st.positions[i]]
-                       + [fmt(c) for c in st.velocities[i]])
-
-    _write_rows(path, header, rows())
+    _write_csv(path, header, (
+        (s.n, [str(step), fmt(s.t), _ids(s.n), *s.positions.T, *s.velocities.T])
+        for step, s in zip(steps, snapshots)))
 
 
 def write_heading_snapshots(path, snapshots, steps):
     header = ["step", "t", "id", "x0", "x1", "heading"]
-
-    def rows():
-        for step, st in zip(steps, snapshots):
-            for i in range(st.n):
-                yield ([str(step), fmt(st.t), str(i),
-                        fmt(st.positions[i][0]), fmt(st.positions[i][1]),
-                        fmt(st.headings[i])])
-
-    _write_rows(path, header, rows())
+    _write_csv(path, header, (
+        (s.n, [str(step), fmt(s.t), _ids(s.n), *s.positions.T, s.headings])
+        for step, s in zip(steps, snapshots)))
 
 
 def write_grid_snapshots(path, snapshots, steps):
     """Grid snapshot CSV: t,x,v,f — one row per cell, x-major then v."""
-    header = ["t", "x", "v", "f"]
+    def block(g):
+        xs, vs = [fmt(x) for x in g.x_nodes], [fmt(v) for v in g.v_nodes]
+        return g.values.size, [fmt(g.t), [x for x in xs for _ in vs],
+                               vs * len(xs), g.values.reshape(-1)]
 
-    def rows():
-        for _, grid in zip(steps, snapshots):
-            for ix, x in enumerate(grid.x_nodes):
-                for iv, v in enumerate(grid.v_nodes):
-                    yield [fmt(grid.t), fmt(x), fmt(v), fmt(grid.values[ix, iv])]
-
-    _write_rows(path, header, rows())
+    _write_csv(path, ["t", "x", "v", "f"], (block(g) for _, g in zip(steps, snapshots)))
 
 
 def write_field_csv(path, grid):
@@ -88,16 +89,11 @@ def write_field_csv(path, grid):
     dim = grid.dim
     header = (["time"] + [f"x{k}" for k in range(dim)]
               + [f"E{k}" for k in range(dim)])
-    nodes = grid.node_points
-    flat = grid.values.reshape(len(grid.times), len(nodes), dim)
-
-    def rows():
-        for k, t in enumerate(grid.times):
-            for m, pt in enumerate(nodes):
-                yield ([fmt(t)] + [fmt(c) for c in pt]
-                       + [fmt(c) for c in flat[k, m]])
-
-    _write_rows(path, header, rows())
+    points = grid.node_points
+    nodes = [[fmt(c) for c in col] for col in points.T]
+    flat = grid.values.reshape(len(grid.times), len(points), dim)
+    _write_csv(path, header, ((len(points), [fmt(t), *nodes, *flat[k].T])
+                              for k, t in enumerate(grid.times)))
 
 
 def _jsonify(obj):
@@ -125,6 +121,7 @@ def write_report(out_dir, report):
     records = report.records
     if records:
         keys = sorted({k for rec in records for k in rec})
-        rows = ([fmt(rec[k]) if isinstance(rec.get(k), (int, float, np.floating))
-                 else str(rec.get(k, "")) for k in keys] for rec in records)
-        _write_rows(os.path.join(out_dir, "diagnostics.csv"), keys, rows)
+        columns = [[fmt(rec[k]) if isinstance(rec.get(k), (int, float, np.floating))
+                    else str(rec.get(k, "")) for rec in records] for k in keys]
+        _write_csv(os.path.join(out_dir, "diagnostics.csv"), keys,
+                   [(len(records), columns)])

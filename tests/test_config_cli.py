@@ -59,8 +59,8 @@ class TestValidation:
 
     def test_large_dt_needs_override(self):
         with pytest.raises(ConfigError, match="lam\\*dt"):
-            validate_config(minimal_kinetic(dt=2.0))
-        cfg = validate_config(minimal_kinetic(dt=2.0, allow_large_dt=True))
+            validate_config(minimal_kinetic(dt=2.0, t_final=4.0))
+        cfg = validate_config(minimal_kinetic(dt=2.0, t_final=4.0, allow_large_dt=True))
         assert cfg["allow_large_dt"]
 
     def test_picard_requires_positive_delta(self):
@@ -137,6 +137,24 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_kinetic(lam=-1.0)))
         assert main(["validate", "--config", str(bad)]) == 2
+
+    def test_validate_rejects_t_final_off_the_step_grid(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(minimal_kinetic(t_final=1.0, dt=0.3)))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "whole number of steps" in err
+        cfg.write_text(json.dumps(minimal_kinetic(t_final=0.3, dt=0.1)))
+        assert main(["validate", "--config", str(cfg)]) == 0
+
+    def test_run_with_unwritable_out_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(minimal_kinetic()))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", "--config", str(cfg), "--out", str(blocker / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
 
     def test_run_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "no.json"),

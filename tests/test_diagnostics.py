@@ -4,7 +4,7 @@ import pytest
 from kinflock.diagnostics import (DiagnosticsReport, check_density_growth,
                                   check_lp_law, check_mass, check_oracle_sup,
                                   check_particle_lp_inequality, check_pushforward,
-                                  check_support, check_volume_law,
+                                  _diameter, check_support, check_volume_law,
                                   fit_lp_exponent, flocking_metrics,
                                   meanfield_distance, particle_lp_norm,
                                   pushforward_sum)
@@ -167,6 +167,23 @@ class TestOrderParameters:
         assert var == pytest.approx(1.0)
         assert vdiam == pytest.approx(2.0)
         assert xdiam == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 8, 19])
+    def test_diameter_matches_broadcast_formula_bit_for_bit(self, dim, n):
+        def broadcast_diameter(pts, chunk):
+            best = 0.0
+            for a in range(0, len(pts), chunk):
+                pa = pts[a:a + chunk]
+                d2 = ((pa[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+                best = max(best, float(d2.max()))
+            return float(np.sqrt(best))
+
+        rng = np.random.default_rng(10 * dim + n)
+        scales = 10.0 ** rng.integers(-6, 7, dim)
+        pts = rng.standard_normal((n, dim)) * scales
+        for chunk in (7, 512):  # n below, equal to and above the chunk
+            assert _diameter(pts, chunk) == broadcast_diameter(pts, chunk)
 
 
 class TestMeanfieldDistance:
