@@ -221,17 +221,42 @@ def flocking_metrics(obj):
     return var, _diameter(v), _diameter(x)
 
 
+def _max_d2(pa, pts):
+    """Largest fp squared distance between a row of pa and a row of pts,
+    summed axis by axis (no (len(pa), len(pts), dim) temporary)."""
+    d2 = np.zeros((len(pa), len(pts)))
+    for k in range(pts.shape[1]):
+        d2 += (pa[:, k, None] - pts[None, :, k]) ** 2
+    return float(d2.max())
+
+
 def _diameter(pts, chunk=512):
+    """max |x_i - x_j| over all pairs, bit-identical to the chunked scan of
+    every pair, which it runs on the points that can reach a longest pair.
+
+    The per-axis extreme points give a lower bound L on the largest fp d2.
+    A point's reach, sum_k max(p_k - lo_k, hi_k - p_k)**2 evaluated like d2,
+    is at least the fp d2 of every pair it is in, because each rounded
+    operation is monotone.  So a point whose reach is below L is in no pair
+    at L or above, and dropping it leaves the maximum unchanged.  In 1D only
+    the two extremes remain; a cloud without interior points, such as a
+    circle, keeps every point.
+    """
     n = len(pts)
     if n < 2:
         return 0.0
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    ends = pts[np.concatenate([pts.argmin(axis=0), pts.argmax(axis=0)])]
+    bound = _max_d2(ends, ends)
+    if bound == 0.0:  # every reach is 0 as well: all pairs are at 0
+        return 0.0
+    reach = np.zeros(n)
+    for k in range(pts.shape[1]):
+        reach += np.maximum(pts[:, k] - lo[k], hi[k] - pts[:, k]) ** 2
+    far = pts[reach >= bound]
     best = 0.0
-    for a in range(0, n, chunk):
-        pa = pts[a:a + chunk]
-        d2 = np.zeros((len(pa), n))
-        for k in range(pts.shape[1]):  # no (chunk, n, dim) temporary
-            d2 += (pa[:, k, None] - pts[None, :, k]) ** 2
-        best = max(best, float(d2.max()))
+    for a in range(0, len(far), chunk):
+        best = max(best, _max_d2(far[a:a + chunk], far))
     return float(np.sqrt(best))
 
 

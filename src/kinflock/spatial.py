@@ -9,6 +9,7 @@ evaluated as sum((x - c)**2) < r*r on every path.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -46,9 +47,11 @@ class SpatialIndex:
         self.cell_size = float(cell_size)
         self.dim = positions.shape[1]
         self._cells: dict[tuple, np.ndarray] = {}
+        self._grouping = None  # (keys, order, starts) of the points
         if len(positions):
             keys = self._keys(positions)
             order, starts = _group_rows(keys)
+            self._grouping = keys, order, starts
             for a, b in zip(starts[:-1], starts[1:]):
                 self._cells[tuple(keys[order[a]])] = order[a:b]
 
@@ -64,10 +67,10 @@ class SpatialIndex:
         `key` (the 3^d stencil when r <= cell_size), or None if all are
         empty."""
         reach = int(math.ceil(r / self.cell_size))
-        corner = np.asarray(key) - reach
+        key = [int(k) for k in key]
         chunks = []
-        for offset in np.ndindex(*([2 * reach + 1] * self.dim)):
-            idx = self._cells.get(tuple(corner + offset))
+        for offset in itertools.product(range(-reach, reach + 1), repeat=self.dim):
+            idx = self._cells.get(tuple(k + o for k, o in zip(key, offset)))
             if idx is not None:
                 chunks.append(idx)
         return np.sort(np.concatenate(chunks)) if chunks else None
@@ -97,10 +100,15 @@ class SpatialIndex:
         weights[query_radius(centers[i], r), col].sum(): a pairwise sum in
         index order, so rounding scales with the local mass.
 
-        Centres are grouped by cell and tested against their stencil's
-        candidates in blocks of at most PAIR_BLOCK pairs.  Each centre's
-        neighbour weights are packed left in a zero-padded row; a reduction
-        masked to that prefix sums it as numpy sums the list alone.
+        Centres are grouped by cell (the index's own grouping when centers
+        is the indexed array) and tested against their stencil's candidates
+        in blocks of at most PAIR_BLOCK pairs.  The hits of a block are
+        flattened into one segment per centre, and np.add.reduceat sums
+        every segment at once.  reduceat adds a segment's first element to
+        the pairwise sum of the rest, whereas numpy's sum adds 0.0 to the
+        pairwise sum of the whole list; so each segment is led by an entry
+        of weight 0.0, and then it is summed exactly as numpy sums the list
+        (an empty neighbourhood gives that 0.0).
         """
         centers = np.asarray(centers, dtype=float)
         if centers.ndim < 2:
@@ -114,33 +122,57 @@ class SpatialIndex:
         sums = np.zeros((len(centers), weights.shape[1]))
         if not (self._cells and len(centers)):
             return sums
-        columns = np.ascontiguousarray(weights.T)
-        keys = self._keys(centers)
-        order, starts = _group_rows(keys)
+        if centers is self.positions:
+            keys, order, starts = self._grouping
+        else:
+            keys = self._keys(centers)
+            order, starts = _group_rows(keys)
+        # column 0 of every candidate row is the segment's leading 0.0
+        n = len(self.positions)
+        lead_weights = np.zeros((weights.shape[1], n + 1))
+        lead_weights[:, 1:] = weights.T
         r2 = r * r
+        # Every block works in these buffers: fresh block-sized temporaries
+        # cost page faults that outweigh the arithmetic.  A block tests at
+        # most max(PAIR_BLOCK, n) pairs, and it has one more slot per centre.
+        m = len(centers)
+        pairs = min(max(PAIR_BLOCK, n), m * n)
+        slots = min(max(2 * PAIR_BLOCK, n + 1), m * (n + 1))
+        d2_buf, diff_buf = np.empty(pairs), np.empty(pairs if self.dim > 1 else 0)
+        hit_buf = np.empty(slots, dtype=bool)
+        gathered_buf = np.empty(weights.shape[1] * slots)
         for a, b in zip(starts[:-1], starts[1:]):
             cand = self._candidates(keys[order[a]], r)
             if cand is None:
                 continue
-            pc, wc = self.positions[cand], columns[:, cand]
+            pc = self.positions[cand]
+            wc = lead_weights[:, np.concatenate(([0], cand + 1))]
+            width = len(cand) + 1
             step = max(1, PAIR_BLOCK // len(cand))
             for lo in range(a, b, step):
                 rows = order[lo:min(lo + step, b)]
-                d2 = np.zeros((len(rows), len(cand)))
-                for k in range(self.dim):  # added in query_radius's order
-                    diff = np.subtract.outer(centers[rows, k], pc[:, k])
-                    d2 += diff * diff
-                hit = d2 < r2
-                counts = hit.sum(axis=1)
-                if not counts.any():
-                    continue
-                # left-align each centre's neighbour weights, in index order
-                filled = np.arange(counts.max()) < counts[:, None]
-                packed = np.zeros((len(wc), len(rows), filled.shape[1]))
-                hit_cols = np.flatnonzero(hit) % len(cand)
-                for out, w in zip(packed, wc):
-                    out[filled] = w[hit_cols]
-                sums[rows] = np.add.reduce(packed, axis=2, where=filled).T
+                d2 = d2_buf[:len(rows) * len(cand)].reshape(len(rows), len(cand))
+                np.subtract.outer(centers[rows, 0], pc[:, 0], out=d2)
+                d2 *= d2
+                for k in range(1, self.dim):  # added in query_radius's order
+                    diff = diff_buf[:d2.size].reshape(d2.shape)
+                    np.subtract.outer(centers[rows, k], pc[:, k], out=diff)
+                    diff *= diff
+                    d2 += diff
+                hit = hit_buf[:len(rows) * width].reshape(len(rows), width)
+                hit[:, 0] = True
+                np.less(d2, r2, out=hit[:, 1:])
+                flat = np.flatnonzero(hit)
+                base = np.arange(0, len(rows) * width, width)
+                heads = np.searchsorted(flat, base)
+                lengths = np.empty_like(heads)
+                lengths[:-1] = heads[1:] - heads[:-1]
+                lengths[-1] = len(flat) - heads[-1]
+                flat -= np.repeat(base, lengths)  # candidate column of each hit
+                gathered = gathered_buf[:len(wc) * len(flat)].reshape(len(wc), len(flat))
+                # mode="raise" would gather into a temporary and copy
+                wc.take(flat, axis=1, out=gathered, mode="clip")
+                sums[rows] = np.add.reduceat(gathered, heads, axis=1).T
         return sums
 
 

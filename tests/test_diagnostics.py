@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kinflock import diagnostics
 from kinflock.diagnostics import (DiagnosticsReport, check_density_growth,
                                   check_lp_law, check_mass, check_oracle_sup,
                                   check_particle_lp_inequality, check_pushforward,
@@ -182,8 +183,45 @@ class TestOrderParameters:
         rng = np.random.default_rng(10 * dim + n)
         scales = 10.0 ** rng.integers(-6, 7, dim)
         pts = rng.standard_normal((n, dim)) * scales
-        for chunk in (7, 512):  # n below, equal to and above the chunk
-            assert _diameter(pts, chunk) == broadcast_diameter(pts, chunk)
+        ends = np.concatenate([pts.argmin(axis=0), pts.argmax(axis=0)])
+        clouds = [
+            pts,
+            np.repeat(pts[:1], n, axis=0),  # all points equal
+            np.vstack([pts, pts[ends], pts[ends]]),  # duplicated extremes
+            pts * 1e-150,  # d2 near the bottom of the normal range
+            pts * 1e-160,  # d2 subnormal
+            pts * 1e160,  # d2 overflows to inf
+        ]
+        angle = rng.uniform(0, 2 * np.pi, n)
+        if dim == 1:
+            # the 1/6-spaced tensor-grid nodes of kinetic_dense_1d, n copies each
+            clouds.append(np.repeat(-2.0 + (np.arange(24) + 0.5) / 6.0, n)[:, None])
+        elif dim == 2:  # a circle prunes nothing; collinear points
+            clouds.append(np.column_stack([np.cos(angle), np.sin(angle)]))
+            clouds.append(np.outer(rng.uniform(-3, 3, n), [0.6, -0.8]) + [1.0, 2.0])
+        else:  # a sphere prunes nothing
+            z = rng.uniform(-1, 1, n)
+            rho = np.sqrt(1 - z * z)
+            clouds.append(np.column_stack([rho * np.cos(angle), rho * np.sin(angle), z]))
+        with np.errstate(over="ignore", under="ignore"):
+            for cloud in clouds:
+                for chunk in (7, 512):  # n below, equal to and above the chunk
+                    assert _diameter(cloud, chunk) == broadcast_diameter(cloud, chunk)
+            assert _diameter(pts * 1e160, 512) == (np.inf if n > 1 else 0.0)
+
+    def test_diameter_keeps_only_the_extremes_in_1d(self, monkeypatch):
+        # 1D: only the two extreme values can reach a longest pair, so the
+        # pair scan sees them alone (a 20000-point scan would take seconds)
+        scanned = []
+
+        def counting_max_d2(pa, pts, max_d2=diagnostics._max_d2):
+            scanned.append(len(pts))
+            return max_d2(pa, pts)
+
+        monkeypatch.setattr(diagnostics, "_max_d2", counting_max_d2)
+        pts = np.random.default_rng(3).standard_normal((20000, 1))
+        assert _diameter(pts) == pts.max() - pts.min()
+        assert scanned == [2, 2]  # the lower bound, then the scan
 
 
 class TestMeanfieldDistance:

@@ -142,15 +142,62 @@ def test_neighborhood_sums_match_brute_force(case, pair_block, monkeypatch):
         np.testing.assert_allclose(row[1:], weights[nbr, 1:].sum(axis=0), rtol=1e-12, atol=0)
 
 
-def test_neighborhood_sums_equal_numpy_sums_of_neighbour_lists():
+def _counts_across_pairwise_thresholds(rng):
+    # numpy's pairwise sum changes method at 8 and blocks at 128 terms: one
+    # isolated cluster of c points around each centre, c = 0 .. 300
+    counts = [0, 1, 7, 8, 9, 127, 128, 129, 300]
+    centers = 10.0 * np.arange(len(counts))
+    pts = np.concatenate([c + rng.uniform(-0.4, 0.4, n) for c, n in zip(centers, counts)])
+    return pts[:, None], centers[:, None], 0.5, 0.5
+
+
+def _candidate_row_wider_than_pair_block(rng):
+    # more candidates than PAIR_BLOCK, so every block holds one centre
+    pts = rng.uniform(0, 0.5, (spatial.PAIR_BLOCK + 100, 1))
+    return pts, rng.uniform(0, 0.5, (4, 1)), 0.25, 0.5
+
+
+def _signed_weights(rng, n, k):
+    # the first k of: -0.0 only, mixed sign, -0.0 mixed with both signs,
+    # and mixed sign with magnitudes from 1e-8 to 1e8
+    cols = [-np.zeros(n), rng.normal(size=n),
+            np.where(rng.random(n) < 0.5, -0.0, rng.normal(size=n) * 1e3)]
+    cols.append(rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-8, 8, n))
+    return np.column_stack(cols[:k])
+
+
+def test_neighborhood_sums_equal_numpy_sums_of_neighbour_lists(monkeypatch):
     # each column is summed as numpy sums the neighbour list in index order,
-    # so sums agree bit for bit with weights[query_radius(c, r)].sum()
-    rng = np.random.default_rng(12)
-    pts = rng.uniform(0, 1, (1000, 2))
-    weights = rng.normal(size=(1000, 2))
-    idx = build_index(pts, 0.3)
-    centers = rng.uniform(0, 1, (50, 2))
-    got = idx.neighborhood_sums(centers, 0.3, weights)
-    for c, row in zip(centers, got):
-        nbr = query_radius(idx, c, 0.3)
-        assert np.array_equal(row, [weights[nbr, 0].sum(), weights[nbr, 1].sum()])
+    # so sums agree bit for bit (sign of zero included) with
+    # weights[query_radius(c, r), col].sum()
+    for pair_block in (spatial.PAIR_BLOCK, 7):
+        monkeypatch.setattr(spatial, "PAIR_BLOCK", pair_block)
+        for case in (_counts_across_pairwise_thresholds, _random_2d_off_points,
+                     _candidate_row_wider_than_pair_block):
+            for k in (1, 2, 3, 4):
+                rng = np.random.default_rng(12 + k)
+                pts, centers, r, cell = case(rng)
+                weights = _signed_weights(rng, len(pts), k)
+                idx = SpatialIndex(pts, cell)
+                got = idx.neighborhood_sums(centers, r, weights)
+                for c, row in zip(centers, got):
+                    nbr = query_radius(idx, c, r)
+                    want = np.array([weights[nbr, col].sum() for col in range(k)])
+                    assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", [_lattice_1d_ties, _random_2d_off_points,
+                                  _counts_across_pairwise_thresholds])
+def test_neighborhood_sums_reuse_the_index_grouping_for_its_own_points(case, monkeypatch):
+    # centres that are the indexed array take the index's cell grouping
+    # instead of grouping again, with the same sums as a copy of the array
+    rng = np.random.default_rng(13)
+    pts, _, r, cell = case(rng)
+    weights = _signed_weights(rng, len(pts), 3)
+    idx = SpatialIndex(pts, cell)
+    want = idx.neighborhood_sums(pts.copy(), r, weights)
+    calls = []
+    monkeypatch.setattr(spatial, "_group_rows", lambda keys: calls.append(keys))
+    got = idx.neighborhood_sums(idx.positions, r, weights)
+    assert calls == []
+    assert got.tobytes() == want.tobytes()
