@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import load_config
@@ -59,6 +60,14 @@ def _cmd_validate(args):
     return 0
 
 
+def _differs(a, b, tol):
+    """Numbers differ when they are more than tol apart, or when exactly
+    one of them is NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) != math.isnan(b)
+    return abs(a - b) > tol
+
+
 def _cmd_diff_reports(args):
     try:
         with open(args.report_a, encoding="utf-8") as fh:
@@ -75,14 +84,12 @@ def _cmd_diff_reports(args):
     else:
         worst = 0.0
         for i, (x, y) in enumerate(zip(ra, rb)):
-            keys = set(x) | set(y)
-            for k in keys:
+            for k in sorted(set(x) | set(y)):
                 va, vb = x.get(k), y.get(k)
                 if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
-                    d = abs(va - vb)
-                    if d > args.tol:
+                    if _differs(va, vb, args.tol):
                         differences.append(f"record {i} key {k}: {va!r} vs {vb!r}")
-                    worst = max(worst, d)
+                    worst = max(worst, abs(va - vb))  # max() skips a NaN here
                 elif va != vb:
                     differences.append(f"record {i} key {k}: {va!r} vs {vb!r}")
         print(f"max numeric record difference: {worst:.6g}")
@@ -92,7 +99,7 @@ def _cmd_diff_reports(args):
         ca, cb = aa.get(name), bb.get(name)
         if ca is None or cb is None:
             differences.append(f"assertion {name} present in only one report")
-        elif ca["passed"] != cb["passed"] or abs(ca["value"] - cb["value"]) > args.tol:
+        elif ca["passed"] != cb["passed"] or _differs(ca["value"], cb["value"], args.tol):
             differences.append(f"assertion {name}: {ca['value']!r}/{ca['passed']} "
                                f"vs {cb['value']!r}/{cb['passed']}")
     if differences:

@@ -72,28 +72,35 @@ class InitialDistributionSpec:
         return float(np.sqrt((corner ** 2).sum()))
 
     def density(self, x, v):
-        """Evaluate f0 at points x (N, d), v (N, d)."""
+        """Evaluate f0 at points x (..., d), v (..., d).
+
+        The last axis holds the coordinates; the leading axes broadcast, so
+        x (n, 1, d) against v (1, m, d) gives the (n, m) values of every
+        x-v pair.  Each value takes the same operations as on the
+        row-wise pairs, so it is bit-identical to them; the per-axis
+        sums run once per x and once per v row.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        inside = np.all((x >= self.x_bounds[:, 0]) & (x <= self.x_bounds[:, 1]), axis=1)
-        inside &= np.all((v >= self.v_bounds[:, 0]) & (v <= self.v_bounds[:, 1]), axis=1)
+        inside = (np.all((x >= self.x_bounds[:, 0]) & (x <= self.x_bounds[:, 1]), axis=-1)
+                  & np.all((v >= self.v_bounds[:, 0]) & (v <= self.v_bounds[:, 1]), axis=-1))
         if self.kind == "box_indicator":
-            vals = self.amplitude * np.ones(len(x))
+            vals = self.amplitude * np.ones(inside.shape)
         elif self.kind == "product_gaussian_truncated":
             xc = self.x_bounds.mean(axis=1) if self.x_centers is None else np.asarray(self.x_centers, float).reshape(self.dim)
             vc = self.v_bounds.mean(axis=1) if self.v_centers is None else np.asarray(self.v_centers, float).reshape(self.dim)
             vals = self.amplitude * np.exp(
-                -((x - xc) ** 2).sum(axis=1) / (2 * self.x_sigma ** 2)
-                - ((v - vc) ** 2).sum(axis=1) / (2 * self.v_sigma ** 2)
+                -((x - xc) ** 2).sum(axis=-1) / (2 * self.x_sigma ** 2)
+                - ((v - vc) ** 2).sum(axis=-1) / (2 * self.v_sigma ** 2)
             )
         elif self.kind == "two_bump":
             xc = np.asarray(self.x_centers, float).reshape(-1, self.dim)
             vc = np.asarray(self.v_centers, float).reshape(-1, self.dim)
-            vals = np.zeros(len(x))
+            vals = np.zeros(inside.shape)
             for k in range(len(xc)):
                 vals += self.amplitude * np.exp(
-                    -((x - xc[k]) ** 2).sum(axis=1) / (2 * self.x_sigma ** 2)
-                    - ((v - vc[k]) ** 2).sum(axis=1) / (2 * self.v_sigma ** 2)
+                    -((x - xc[k]) ** 2).sum(axis=-1) / (2 * self.x_sigma ** 2)
+                    - ((v - vc[k]) ** 2).sum(axis=-1) / (2 * self.v_sigma ** 2)
                 )
         else:
             raise InvalidInputError(f"unknown initial kind {self.kind!r}")
@@ -111,20 +118,8 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
     mode = spec.sampling[0]
     if mode == "tensor_grid":
         _, n_x, n_v = spec.sampling
-        x_axes, dx = [], 1.0
-        for k in range(d):
-            lo, hi = spec.x_bounds[k]
-            edges = np.linspace(lo, hi, n_x + 1)
-            x_axes.append(0.5 * (edges[:-1] + edges[1:]))
-            dx *= (hi - lo) / n_x
-        v_axes, dv = [], 1.0
-        for k in range(d):
-            lo, hi = spec.v_bounds[k]
-            edges = np.linspace(lo, hi, n_v + 1)
-            v_axes.append(0.5 * (edges[:-1] + edges[1:]))
-            dv *= (hi - lo) / n_v
-        Xc = np.stack([g.ravel() for g in np.meshgrid(*x_axes, indexing="ij")], axis=1)
-        Vc = np.stack([g.ravel() for g in np.meshgrid(*v_axes, indexing="ij")], axis=1)
+        Xc, dx = _cell_centres(spec.x_bounds, n_x)
+        Vc, dv = _cell_centres(spec.v_bounds, n_v)
         xx = np.repeat(Xc, len(Vc), axis=0)
         vv = np.tile(Vc, (len(Xc), 1))
         dens = spec.density(xx, vv)
@@ -167,6 +162,18 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
     )
 
 
+def _cell_centres(bounds, n, vol=1.0):
+    """Centres of the n-per-axis cells of the box `bounds` (d, 2), first
+    axis slowest, and `vol` times the cell widths, multiplied in axis order."""
+    axes = []
+    for lo, hi in bounds:
+        edges = np.linspace(lo, hi, n + 1)
+        axes.append(0.5 * (edges[:-1] + edges[1:]))
+        vol *= (hi - lo) / n
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1), vol
+
+
 def _total_mass(spec, n=None):
     """Midpoint quadrature of f0 over its bounding boxes."""
     vals, cellvol = _grid_eval(spec, n)
@@ -174,26 +181,15 @@ def _total_mass(spec, n=None):
 
 
 def _grid_eval(spec, n=None):
-    d = spec.dim
+    """f0 at the centres of the n^{2d}-cell phase mesh, x-cells major, and
+    the cell volume.  The mesh is the outer product of its n^d x-cells and
+    n^d v-cells, so only the final values take n^{2d} memory."""
     if n is None:
         # keep the phase-space mesh near 10^6 points regardless of dimension
-        n = {1: 512, 2: 32, 3: 10}[d]
-    axes = []
-    cellvol = 1.0
-    for k in range(d):
-        lo, hi = spec.x_bounds[k]
-        edges = np.linspace(lo, hi, n + 1)
-        axes.append(0.5 * (edges[:-1] + edges[1:]))
-        cellvol *= (hi - lo) / n
-    for k in range(d):
-        lo, hi = spec.v_bounds[k]
-        edges = np.linspace(lo, hi, n + 1)
-        axes.append(0.5 * (edges[:-1] + edges[1:]))
-        cellvol *= (hi - lo) / n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
-    vals = spec.density(pts[:, :d], pts[:, d:])
-    return vals, cellvol
+        n = {1: 512, 2: 32, 3: 10}[spec.dim]
+    X, cellvol = _cell_centres(spec.x_bounds, n)
+    V, cellvol = _cell_centres(spec.v_bounds, n, cellvol)
+    return spec.density(X[:, None, :], V[None, :, :]).reshape(-1), cellvol
 
 
 def local_moments(ensemble: Ensemble, x, r, index: Optional[SpatialIndex] = None):
@@ -256,22 +252,18 @@ def advance_characteristics(ensemble: Ensemble, field, dt):
     new_v = E + dv * decay
     new_x = ens.x + E * dt + dv * (1.0 - decay) / lam
     grow = np.exp(lam * ens.dim * dt)
-    out = ens.copy()
-    out.t = ens.t + dt
-    out.x = new_x
-    out.v = new_v
-    out.density_value = ens.density_value * grow
-    out.phase_volume = ens.phase_volume / grow
-    return out
+    return ens.stepped(ens.t + dt, new_x, new_v,
+                       ens.density_value * grow, ens.phase_volume / grow)
 
 
 def _set_step(ens: Ensemble, ens0: Ensemble, step, dt):
-    """Time and growth factors from the step count, not accumulated: one
-    rounding per step would break the 1e-12 growth laws within 1e4 steps."""
-    ens.t = ens0.t + step * dt
-    grow = np.exp(ens.lam * ens.dim * (ens.t - ens0.t))
-    ens.density_value = ens0.density_value * grow
-    ens.phase_volume = ens0.phase_volume / grow
+    """`ens` with time and growth factors from the step count, not
+    accumulated: one rounding per step would break the 1e-12 growth laws
+    within 1e4 steps."""
+    t = ens0.t + step * dt
+    grow = np.exp(ens.lam * ens.dim * (t - ens0.t))
+    return ens.stepped(t, ens.x, ens.v,
+                       ens0.density_value * grow, ens0.phase_volume / grow)
 
 
 @dataclass
@@ -289,8 +281,9 @@ def run_linear(ensemble0: Ensemble, field, T, dt, snapshot_stride=1):
     ens = ensemble0.copy()
     result = KineticRunResult([ens.copy()], [0])
     for step in range(1, n_steps + 1):
-        ens = advance_characteristics(ens, field, dt) if ens.n else ens.copy()
-        _set_step(ens, ensemble0, step, dt)
+        if ens.n:
+            ens = advance_characteristics(ens, field, dt)
+        ens = _set_step(ens, ensemble0, step, dt)
         if step % snapshot_stride == 0 or step == n_steps:
             result.snapshots.append(ens.copy())
             result.snapshot_steps.append(step)
@@ -332,9 +325,7 @@ def run_self_consistent(ensemble0: Ensemble, T, dt, delta=0.0,
                 raise InvariantViolationError(
                     f"velocity support bound violated: |v|={speed.max():.17g} "
                     f"> M0={m0:.17g}", step=step, index=bad)
-        else:
-            ens = ens.copy()
-        _set_step(ens, ensemble0, step, dt)
+        ens = _set_step(ens, ensemble0, step, dt)
         if step % snapshot_stride == 0 or step == n_steps:
             result.snapshots.append(ens.copy())
             result.snapshot_steps.append(step)

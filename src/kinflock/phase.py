@@ -160,19 +160,31 @@ class Ensemble:
         return float(np.sqrt((self.v ** 2).sum(axis=1)).max())
 
     def copy(self):
-        return Ensemble(
-            self.t,
-            self.dim,
-            self.lam,
-            self.radius,
-            self.x.copy(),
-            self.v.copy(),
-            self.mass.copy(),
-            self.density_value.copy(),
-            self.phase_volume.copy(),
-            self.initial_support_bound,
-            self.initial_sup_density,
-        )
+        """An independent copy.  It skips __post_init__: every array it
+        copies has passed it, or the checks of `stepped`."""
+        return self._with(self.t, self.x.copy(), self.v.copy(),
+                          self.density_value.copy(), self.phase_volume.copy())
+
+    def stepped(self, t, x, v, density_value, phase_volume):
+        """The ensemble at time t with new (N, dim) positions and velocities
+        and new (N,) density values and phase volumes; mass and the scalars
+        carry over.  The new arrays get the value checks of __post_init__,
+        in its order and with its messages."""
+        for name, a in (("x", x), ("v", v), ("density_value", density_value),
+                        ("phase_volume", phase_volume)):
+            if not np.all(np.isfinite(a)):
+                raise InvalidInputError(f"{name}: non-finite entries")
+        if np.any(density_value < 0):
+            raise InvalidInputError("mass and density_value must be non-negative")
+        if np.any(phase_volume <= 0):
+            raise InvalidInputError("phase_volume must be strictly positive")
+        return self._with(t, x, v, density_value, phase_volume)
+
+    def _with(self, t, x, v, density_value, phase_volume):
+        out = object.__new__(Ensemble)
+        out.__dict__.update(self.__dict__, t=t, x=x, v=v, mass=self.mass.copy(),
+                            density_value=density_value, phase_volume=phase_volume)
+        return out
 
     def check_mass_identity(self):
         """mass == density_value * phase_volume up to relative 1e-12."""

@@ -198,9 +198,7 @@ def run_oracle_mode(cfg: ScenarioConfig, out_dir):
     oc = cfg["oracle"]
     spec = initial_spec_from_config(cfg) if "initial" in cfg.data else None
     if spec is not None:
-        f0 = lambda X, V: spec.density(
-            np.column_stack([X.ravel()]), np.column_stack([V.ravel()])
-        ).reshape(X.shape)
+        f0 = lambda X, V: spec.density(X[..., None], V[..., None])
     else:
         f0 = lambda X, V: np.exp(-X ** 2 / 0.125 - V ** 2 / 0.125)
     lam = 0.0 if oc["lam_zero_transport"] else cfg["lam"]

@@ -211,3 +211,38 @@ class TestCli:
         assert main(["diff-reports", str(pa), str(pb)]) == 1
         assert main(["diff-reports", str(pa), str(pb), "--tol", "1.0"]) == 0
         assert main(["diff-reports", str(pa), str(tmp_path / "missing.json")]) == 2
+
+    @staticmethod
+    def _diff(tmp_path, a, b):
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(a))
+        pb.write_text(json.dumps(b))
+        return main(["diff-reports", str(pa), str(pb), "--tol", "1e-12"])
+
+    def test_diff_reports_counts_nan_against_a_number(self, tmp_path, capsys):
+        a = {"records": [{"t": 0.0, "total_mass": 1.0}], "assertions":
+             [{"name": "mass", "value": 0.0, "tolerance": 1.0, "passed": True}]}
+        b = json.loads(json.dumps(a))
+        b["records"][0]["total_mass"] = float("nan")
+        assert self._diff(tmp_path, a, b) == 1
+        assert self._diff(tmp_path, b, a) == 1
+        assert "record 0 key total_mass: 1.0 vs nan" in capsys.readouterr().out
+        b = json.loads(json.dumps(a))
+        b["assertions"][0]["value"] = float("nan")
+        assert self._diff(tmp_path, a, b) == 1
+        assert "assertion mass: 0.0/True vs nan/True" in capsys.readouterr().out
+
+    def test_diff_reports_nan_against_nan_agrees(self, tmp_path, capsys):
+        a = {"records": [{"t": 0.0, "total_mass": float("nan")}], "assertions":
+             [{"name": "mass", "value": float("nan"), "tolerance": 1.0, "passed": False}]}
+        assert self._diff(tmp_path, a, json.loads(json.dumps(a))) == 0
+        assert "reports agree" in capsys.readouterr().out
+
+    def test_diff_reports_prints_differences_in_order(self, tmp_path, capsys):
+        keys = ["zeta", "alpha", "mu", "beta"]
+        a = {"records": [{"t": 0.0}] + [{k: 0.0 for k in keys}] * 2}
+        b = {"records": [{"t": 0.0}] + [{k: 1.0 for k in keys}] * 2}
+        assert self._diff(tmp_path, a, b) == 1
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines == [f"record {i} key {k}: 0.0 vs 1.0"
+                         for i in (1, 2) for k in sorted(keys)]

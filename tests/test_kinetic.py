@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from kinflock.errors import InvalidInputError, InvariantViolationError
 from kinflock.kinetic import (InitialDistributionSpec, advance_characteristics,
                               local_moments, run_linear, run_self_consistent,
                               sample_initial, velocity_field, velocity_field_delta,
-                              _total_mass)
+                              _grid_eval, _total_mass)
 from kinflock.phase import Ensemble
 
 
@@ -71,6 +73,127 @@ class TestSampling:
     def test_support_bound_from_bounds(self):
         spec = unit_square_spec()
         assert spec.support_bound == pytest.approx(1.0)
+
+
+# (x_centers, v_centers) per kind, in 3D; a d-dimensional spec keeps the
+# first d coordinates
+CENTRES = {
+    "box_indicator": ([], []),
+    "product_gaussian_truncated": ([[0.3, 0.9, 0.1]], [[0.2, -0.1, -0.5]]),
+    "two_bump": ([[-0.2, 0.4, 0.0], [0.6, 1.1, -0.3]],
+                 [[0.3, 0.0, 0.2], [-0.4, -0.3, -1.0]]),
+}
+KINDS = tuple(CENTRES)
+
+
+def mesh_spec(kind, d):
+    """Unequal boxes per axis, off-centre Gaussians, amplitude != 1."""
+    xc, vc = ([c[:d] for c in centres] or None for centres in CENTRES[kind])
+    return InitialDistributionSpec(
+        kind=kind, dim=d, amplitude=1.3, x_sigma=0.4, v_sigma=0.3,
+        x_bounds=[[-1.0, 2.0], [0.0, 1.5], [-0.5, 0.5]][:d],
+        v_bounds=[[-1.0, 1.0], [-0.7, 0.3], [-2.0, 1.0]][:d],
+        x_centers=xc, v_centers=vc)
+
+
+def full_mesh_eval(spec, n, rows=1 << 16):
+    """The full-mesh quadrature: every point of the n^{2d} phase mesh as a
+    row (x..., v...), x-cells major, evaluated row-wise, in blocks of rows
+    so that large meshes stay small in memory."""
+    d = spec.dim
+    axes, cellvol = [], 1.0
+    for lo, hi in np.concatenate([spec.x_bounds, spec.v_bounds]):
+        edges = np.linspace(lo, hi, n + 1)
+        axes.append(0.5 * (edges[:-1] + edges[1:]))
+        cellvol *= (hi - lo) / n
+    vals = []
+    for start in range(0, n ** (2 * d), rows):
+        idx = np.unravel_index(np.arange(start, min(start + rows, n ** (2 * d))),
+                               (n,) * (2 * d))
+        pts = np.stack([axes[k][idx[k]] for k in range(2 * d)], axis=1)
+        vals.append(spec.density(pts[:, :d], pts[:, d:]))
+    return np.concatenate(vals), cellvol
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestInitialMesh:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d, n", [(d, n) for d in (1, 2, 3) for n in (1, 7, 13)]
+                             + [(1, None), (2, None)])
+    def test_outer_product_mesh_matches_full_mesh(self, kind, d, n):
+        spec = mesh_spec(kind, d)
+        vals, cellvol = _grid_eval(spec, n)
+        ref, ref_cellvol = full_mesh_eval(spec, {1: 512, 2: 32}[d] if n is None else n)
+        assert same_bits(vals, ref)
+        assert cellvol == ref_cellvol
+        assert _total_mass(spec, n) == float(ref.sum() * ref_cellvol)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_density_broadcasts_over_leading_axes(self, kind, d):
+        spec = mesh_spec(kind, d)
+        rng = np.random.default_rng(d)
+        # boxes widened by half a unit, so some points fall outside
+        x = rng.uniform(spec.x_bounds[:, 0] - 0.5, spec.x_bounds[:, 1] + 0.5, (9, d))
+        v = rng.uniform(spec.v_bounds[:, 0] - 0.5, spec.v_bounds[:, 1] + 0.5, (11, d))
+        outer = spec.density(x[:, None, :], v[None, :, :])
+        rows = spec.density(np.repeat(x, len(v), axis=0), np.tile(v, (len(x), 1)))
+        assert outer.shape == (9, 11)
+        assert same_bits(outer, rows.reshape(9, 11))
+        assert (outer == 0).any() and (outer > 0).any()
+
+    @pytest.mark.parametrize("kind, d", [("product_gaussian_truncated", 2), ("two_bump", 2),
+                                         ("product_gaussian_truncated", 3), ("two_bump", 3)])
+    def test_total_mass_memory_stays_small(self, kind, d):
+        # the full (10^6, 2d) point mesh peaked at 97-145 MB
+        spec = mesh_spec(kind, d)
+        tracemalloc.start()
+        try:
+            _total_mass(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
+class TestEnsembleSteps:
+    def test_copy_is_independent(self):
+        ens = two_particle_ensemble()
+        out = ens.copy()
+        out.x[0, 0] = 5.0
+        out.mass[0] = 0.25
+        assert ens.x[0, 0] == 0.0 and ens.mass[0] == 0.5
+        assert out.initial_support_bound == ens.initial_support_bound
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("x", np.inf, "x: non-finite"), ("v", np.nan, "v: non-finite"),
+        ("density_value", np.inf, "density_value: non-finite"),
+        ("density_value", -1.0, "non-negative"),
+        ("phase_volume", 0.0, "strictly positive")])
+    def test_stepped_checks_new_arrays(self, field, value, message):
+        ens = two_particle_ensemble()
+        new = {"x": ens.x.copy(), "v": ens.v.copy(),
+               "density_value": ens.density_value.copy(),
+               "phase_volume": ens.phase_volume.copy()}
+        new[field][0] = value
+        with pytest.raises(InvalidInputError, match=message):
+            ens.stepped(1.0, **new)
+
+    @pytest.mark.parametrize("solver", ["linear", "self_consistent"])
+    def test_density_overflow_aborts_the_run(self, solver):
+        # e^{lam*d*t} overflows past t = 709.78
+        ens = Ensemble(0.0, 1, 1.0, 0.5, [[0.0]], [[0.5]], [1.0], [1.0], [1.0],
+                       initial_support_bound=0.5)
+        with pytest.raises(InvalidInputError, match="density_value: non-finite"), \
+                np.errstate(over="ignore"):
+            if solver == "linear":
+                run_linear(ens, lambda t, X: np.zeros_like(X), T=800.0, dt=1.0,
+                           snapshot_stride=100)
+            else:
+                run_self_consistent(ens, T=800.0, dt=1.0, snapshot_stride=100)
 
 
 class TestMomentsAndFields:
