@@ -6,7 +6,9 @@ Subcommands:
   diff-reports  compare two diagnostics.json files
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
-3 runtime/invariant abort or output error (e.g. `--out` cannot be written).
+3 runtime/invariant abort, output error (e.g. `--out` cannot be written)
+or any other error during the run, such as running out of memory; `run`
+reports every failure in one line on stderr.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ def _cmd_run(args):
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # MemoryError, or a defect: still one line and exit 3
+        print(f"runtime abort: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     failed = [c for c in report.assertions if not c.passed]
     for c in report.assertions:
         status = "PASS" if c.passed else "FAIL"
@@ -66,6 +71,31 @@ def _differs(a, b, tol):
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) != math.isnan(b)
     return abs(a - b) > tol
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _tree_differences(a, b, path, tol):
+    """Differences between two JSON values: dicts by sorted key, lists of
+    equal length by index, numbers by `_differs`, anything else by ==."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for k in sorted(set(a) | set(b)):
+            if k in a and k in b:
+                out += _tree_differences(a[k], b[k], f"{path}/{k}", tol)
+            else:
+                out.append(f"{path}/{k} present in only one report")
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b))
+                for d in _tree_differences(x, y, f"{path}/{i}", tol)]
+    if _is_number(a) and _is_number(b):
+        differs = _differs(a, b, tol)
+    else:
+        differs = a != b
+    return [f"{path}: {a!r} vs {b!r}"] if differs else []
 
 
 def _cmd_diff_reports(args):
@@ -99,9 +129,14 @@ def _cmd_diff_reports(args):
         ca, cb = aa.get(name), bb.get(name)
         if ca is None or cb is None:
             differences.append(f"assertion {name} present in only one report")
-        elif ca["passed"] != cb["passed"] or _differs(ca["value"], cb["value"], args.tol):
+            continue
+        if ca["passed"] != cb["passed"] or _differs(ca["value"], cb["value"], args.tol):
             differences.append(f"assertion {name}: {ca['value']!r}/{ca['passed']} "
                                f"vs {cb['value']!r}/{cb['passed']}")
+        differences += _tree_differences(ca.get("tolerance"), cb.get("tolerance"),
+                                         f"assertion {name} tolerance", args.tol)
+    differences += _tree_differences(a.get("metadata", {}), b.get("metadata", {}),
+                                     "metadata", args.tol)
     if differences:
         for d in differences[:50]:
             print(d)

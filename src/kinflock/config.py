@@ -6,16 +6,23 @@ into independent streams with numpy's SeedSequence in a fixed order:
 child 0 drives initial sampling, child 1 agent noise; child 2 is reserved
 and unused (the Lipschitz estimate of picard mode samples with a fixed
 `default_rng(0)`, independent of the seed).
+
+The schema is checked by `check_schema`, which implements the subset of
+JSON Schema that the shipped schema uses, with two rules stricter than
+the standard: an `integer` is a Python int (not a bool, not an integral
+float such as 10.0) and an enum member matches in type as well as value,
+so `"dim": 1.0` is rejected; and every number anywhere in the config must
+be finite, so NaN and Infinity are rejected.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -68,6 +75,61 @@ def _schema():
         return json.load(fh)
 
 
+_TYPES = {"object": dict, "array": list, "boolean": bool,
+          "number": (int, float), "integer": int}
+
+
+def check_schema(value, schema=None, path=()):
+    """Raise ConfigError at the first place where `value` breaks `schema`
+    (default: the shipped config schema).
+
+    Keywords: type, enum, minimum, exclusiveMinimum (a number, as in
+    draft 7), maximum, required, properties, additionalProperties: false,
+    items (one schema for every element), minItems and maxItems.  Any
+    other keyword is ignored.  Every element of a list and every value of
+    an object is visited, so no NaN or infinity passes unseen.
+    """
+    if schema is None:
+        schema = _schema()
+
+    def fail(message):
+        raise ConfigError(f"config key {'/'.join(map(str, path)) or '(root)'}: {message}")
+
+    if isinstance(value, float) and not math.isfinite(value):
+        fail(f"{value!r} is not a finite number")
+    kind = schema.get("type")
+    if kind is not None and (not isinstance(value, _TYPES[kind])
+                             or (isinstance(value, bool) and kind != "boolean")):
+        fail(f"{value!r} is not of type {kind!r}")
+    if "enum" in schema and not any(type(value) is type(e) and value == e
+                                    for e in schema["enum"]):
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if value < schema.get("minimum", value):
+            fail(f"{value!r} is less than the minimum of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            fail(f"{value!r} is less than or equal to the minimum of "
+                 f"{schema['exclusiveMinimum']!r}")
+        if value > schema.get("maximum", value):
+            fail(f"{value!r} is greater than the maximum of {schema['maximum']!r}")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        for key, item in value.items():
+            if key not in properties and schema.get("additionalProperties", True) is False:
+                fail(f"additional properties are not allowed ({key!r} was unexpected)")
+            check_schema(item, properties.get(key, {}), path + (key,))
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"{value!r} has fewer than {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            fail(f"{value!r} has more than {schema['maxItems']} items")
+        for i, item in enumerate(value):
+            check_schema(item, schema.get("items", {}), path + (i,))
+
+
 def _merge_defaults(defaults, data):
     out = copy.deepcopy(defaults)
     for k, v in data.items():
@@ -102,11 +164,7 @@ class ScenarioConfig:
 
 def validate_config(data: dict) -> ScenarioConfig:
     """Schema-validate, fill defaults, and run the semantic checks."""
-    try:
-        jsonschema.validate(data, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(f"config key {path}: {exc.message}") from exc
+    check_schema(data)
     merged = _merge_defaults(_DEFAULTS, data)
     if "initial" not in data:
         merged.pop("initial", None)  # partial defaults alone would not re-validate
@@ -148,7 +206,9 @@ def load_config(path) -> ScenarioConfig:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")

@@ -65,9 +65,12 @@ class FieldGrid:
     def evaluate(self, t, X):
         """Interpolated field at time t and points X (N, d): the 2^(d+1)
         corners of each clamped query's node cell, weighted by prod(1-y or y);
-        an axis with a single node contributes it with weight 1."""
+        an axis with a single node contributes it with weight 1.  t is one
+        time for every row or an (N,) array of times, one per row; each row
+        is computed on its own, so both give the same bits."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        coords = [np.full(len(X), float(t))] + [X[:, k] for k in range(self.dim)]
+        t = np.broadcast_to(np.asarray(t, dtype=float), (len(X),))
+        coords = [t] + [X[:, k] for k in range(self.dim)]
         corners = []
         for nodes, q in zip((self.times,) + self.axes, coords):
             q = np.clip(q, nodes[0], nodes[-1])
@@ -189,24 +192,30 @@ def picard_solve(f0: Ensemble, lam, r, delta, T, n_time_nodes, n_space_nodes,
 
 def lipschitz_modulus(grid: FieldGrid, sample_pairs=200, rng=None):
     """Empirical spatial and temporal Lipschitz moduli of the interpolated
-    field, from random finite differences inside the box."""
+    field, from random finite differences inside the box.
+
+    Pair i draws, in this order, a time t, points x1 and x2, a point x and
+    two times; one (sample_pairs, 3 + 3d) draw scaled as lo + (hi - lo)*u
+    is the same stream as these draws made with `rng.uniform` one pair at a
+    time, and all 4*sample_pairs field values come from one `evaluate`.
+    """
     rng = np.random.default_rng(0) if rng is None else rng
+    d = grid.dim
     lo = np.array([a[0] for a in grid.axes])
     hi = np.array([a[-1] for a in grid.axes])
     t0, t1 = grid.times[0], grid.times[-1]
+    u = rng.random((sample_pairs, 3 + 3 * d))
+    t = t0 + (t1 - t0) * u[:, 0]
+    x1, x2, x = (lo + (hi - lo) * u[:, 1 + k * d:1 + (k + 1) * d] for k in range(3))
+    ta, tb = np.sort(t0 + (t1 - t0) * u[:, 1 + 3 * d:], axis=1).T
+    values = grid.evaluate(np.concatenate([t, t, tb, ta]), np.concatenate([x2, x1, x, x]))
+    e2, e1, eb, ea = np.split(values, 4)
     spatial = 0.0
     temporal = 0.0
-    for _ in range(sample_pairs):
-        t = rng.uniform(t0, t1)
-        x1 = rng.uniform(lo, hi)
-        x2 = rng.uniform(lo, hi)
-        dx = np.linalg.norm(x2 - x1)
+    for i in range(sample_pairs):
+        dx = np.linalg.norm(x2[i] - x1[i])
         if dx > 1e-12:
-            dE = np.linalg.norm(grid.evaluate(t, x2[None]) - grid.evaluate(t, x1[None]))
-            spatial = max(spatial, dE / dx)
-        x = rng.uniform(lo, hi)
-        ta, tb = sorted(rng.uniform(t0, t1, size=2))
-        if tb - ta > 1e-12:
-            dE = np.linalg.norm(grid.evaluate(tb, x[None]) - grid.evaluate(ta, x[None]))
-            temporal = max(temporal, dE / (tb - ta))
+            spatial = max(spatial, np.linalg.norm(e2[i] - e1[i]) / dx)
+        if tb[i] - ta[i] > 1e-12:
+            temporal = max(temporal, np.linalg.norm(eb[i] - ea[i]) / (tb[i] - ta[i]))
     return spatial, temporal

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kinflock import cli
 from kinflock.cli import main
 from kinflock.config import load_config, validate_config
 from kinflock.errors import ConfigError
@@ -94,6 +95,11 @@ class TestValidation:
         bad.write_text("{")
         with pytest.raises(ConfigError, match="malformed"):
             load_config(bad)
+        bad.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError, match="malformed"):
+            load_config(bad)
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(tmp_path)
 
     def test_shipped_scenarios_validate(self):
         for name in ("two_particle_symmetric.json", "kinetic_two_bump.json",
@@ -155,6 +161,36 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(blocker / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value,extra", [
+        ("dim", 1.0, {}),
+        ("n_agents", 10.0, {"mode": "agents", "model": "cutoff_cs"}),
+        ("seed", 3.0, {}),
+        ("t_final", float("inf"), {}),
+        ("lam", float("nan"), {}),
+    ])
+    def test_run_rejects_non_int_integers_and_non_finite_numbers(self, tmp_path, capsys,
+                                                                key, value, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(minimal_kinetic(**extra, **{key: value})))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key {key}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 5.96 GiB"),
+                                     RuntimeError("unexpected")])
+    def test_run_maps_unexpected_exceptions_to_exit_3(self, tmp_path, capsys, monkeypatch,
+                                                      exc):
+        def boom(cfg, out):
+            raise exc
+
+        monkeypatch.setattr(cli, "run", boom)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(minimal_kinetic()))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"runtime abort: {type(exc).__name__}: {exc}\n"
 
     def test_run_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "no.json"),
@@ -246,3 +282,31 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()[1:]
         assert lines == [f"record {i} key {k}: 0.0 vs 1.0"
                          for i in (1, 2) for k in sorted(keys)]
+
+    def test_diff_reports_compares_metadata_and_tolerances(self, tmp_path, capsys):
+        a = {"metadata": {"solver": "picard",
+                          "picard": {"converged": True, "iterations": 3,
+                                     "residual_history": [0.5, float("nan")]}},
+             "records": [{"t": 0.0, "field_residual": 0.5}],
+             "assertions": [{"name": "field_sup_bound", "value": 0.5,
+                             "tolerance": 1e-12, "passed": True}]}
+        assert self._diff(tmp_path, a, json.loads(json.dumps(a))) == 0
+        assert "reports agree" in capsys.readouterr().out
+        b = json.loads(json.dumps(a))
+        b["metadata"]["picard"]["iterations"] = 40
+        assert self._diff(tmp_path, a, b) == 1
+        assert "metadata/picard/iterations: 3 vs 40" in capsys.readouterr().out
+        b = json.loads(json.dumps(a))
+        b["assertions"][0]["tolerance"] = 1.0
+        assert self._diff(tmp_path, a, b) == 1
+        assert ("assertion field_sup_bound tolerance: 1e-12 vs 1.0"
+                in capsys.readouterr().out)
+        b = json.loads(json.dumps(a))
+        b["metadata"]["picard"]["converged"] = False
+        b["metadata"]["picard"]["residual_history"].append(0.0)
+        del b["metadata"]["solver"]
+        assert self._diff(tmp_path, a, b) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "metadata/picard/converged: True vs False",
+            "metadata/picard/residual_history: [0.5, nan] vs [0.5, nan, 0.0]",
+            "metadata/solver present in only one report"]

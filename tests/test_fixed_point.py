@@ -75,6 +75,67 @@ class TestFieldGrid:
         assert np.abs(out).max() <= E.sup_norm() + 1e-14
 
 
+def _random_grid(rng, dim, n_nodes):
+    """A random field on a grid whose axes have the given node counts (the
+    first is time); an axis of one node is a single point."""
+    times = np.sort(rng.uniform(-1.0, 1.0, n_nodes[0]))
+    axes = tuple(np.sort(rng.uniform(-2.0, 2.0, n)) for n in n_nodes[1:])
+    vals = rng.uniform(-1.0, 1.0, tuple(n_nodes) + (dim,))
+    return FieldGrid(times, axes, vals, bound=2.0)
+
+
+GRID_SHAPES = [(4, 7), (1, 5), (3, 1), (5, 4, 6), (2, 1, 3), (1, 1, 1),
+               (3, 4, 2, 5), (2, 1, 3, 1)]
+
+
+@pytest.mark.parametrize("n_nodes", GRID_SHAPES)
+def test_evaluate_with_a_time_per_row_equals_scalar_calls(n_nodes):
+    rng = np.random.default_rng(len(n_nodes) * 10 + sum(n_nodes))
+    dim = len(n_nodes) - 1
+    E = _random_grid(rng, dim, n_nodes)
+    t = rng.uniform(-1.5, 1.5, 60)  # times and points reach outside the box
+    X = rng.uniform(-3.0, 3.0, (60, dim))
+    t[:3] = E.times[0], E.times[-1], E.times[0]  # and some rows exactly on nodes
+    X[:3] = [a[0] for a in E.axes]
+    rows = np.concatenate([E.evaluate(tk, xk[None]) for tk, xk in zip(t, X)])
+    assert E.evaluate(t, X).tobytes() == rows.tobytes()
+    assert E.evaluate(t[0], X).tobytes() == E.evaluate(np.full(60, t[0]), X).tobytes()
+
+
+def _lipschitz_modulus_per_pair(grid, sample_pairs, rng):
+    """The former lipschitz_modulus, one pair and two evaluations at a time."""
+    lo = np.array([a[0] for a in grid.axes])
+    hi = np.array([a[-1] for a in grid.axes])
+    t0, t1 = grid.times[0], grid.times[-1]
+    spatial = 0.0
+    temporal = 0.0
+    for _ in range(sample_pairs):
+        t = rng.uniform(t0, t1)
+        x1 = rng.uniform(lo, hi)
+        x2 = rng.uniform(lo, hi)
+        dx = np.linalg.norm(x2 - x1)
+        if dx > 1e-12:
+            dE = np.linalg.norm(grid.evaluate(t, x2[None]) - grid.evaluate(t, x1[None]))
+            spatial = max(spatial, dE / dx)
+        x = rng.uniform(lo, hi)
+        ta, tb = sorted(rng.uniform(t0, t1, size=2))
+        if tb - ta > 1e-12:
+            dE = np.linalg.norm(grid.evaluate(tb, x[None]) - grid.evaluate(ta, x[None]))
+            temporal = max(temporal, dE / (tb - ta))
+    return spatial, temporal
+
+
+@pytest.mark.parametrize("sample_pairs", [0, 1, 200, 500])
+@pytest.mark.parametrize("n_nodes", GRID_SHAPES)
+def test_lipschitz_modulus_equals_the_per_pair_loop(n_nodes, sample_pairs):
+    E = _random_grid(np.random.default_rng(sum(n_nodes)), len(n_nodes) - 1, n_nodes)
+    want = _lipschitz_modulus_per_pair(E, sample_pairs, np.random.default_rng(5))
+    got = lipschitz_modulus(E, sample_pairs, np.random.default_rng(5))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    if sample_pairs and any(a.size > 1 for a in E.axes):
+        assert got[0] > 0
+
+
 def test_default_field_box_covers_reachable_set():
     ens = small_cloud()
     lo, hi = default_field_box(ens, T=2.0)
