@@ -25,9 +25,7 @@ from .runner import run
 
 def _cmd_run(args):
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.data["seed"] = args.seed
+        cfg = load_config(args.config, seed=args.seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -98,13 +96,18 @@ def _tree_differences(a, b, path, tol):
     return [f"{path}: {a!r} vs {b!r}"] if differs else []
 
 
+def _read_report(path):
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level is not a JSON object")
+    return doc
+
+
 def _cmd_diff_reports(args):
     try:
-        with open(args.report_a, encoding="utf-8") as fh:
-            a = json.load(fh)
-        with open(args.report_b, encoding="utf-8") as fh:
-            b = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        a, b = _read_report(args.report_a), _read_report(args.report_b)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
     differences = []

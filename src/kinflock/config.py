@@ -200,7 +200,9 @@ def validate_config(data: dict) -> ScenarioConfig:
     return ScenarioConfig(merged)
 
 
-def load_config(path) -> ScenarioConfig:
+def load_config(path, seed=None) -> ScenarioConfig:
+    """Read and validate a config file; `seed`, if given, replaces the
+    file's seed before validation."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -212,4 +214,6 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    if seed is not None:
+        data["seed"] = seed
     return validate_config(data)

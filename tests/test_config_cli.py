@@ -192,6 +192,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"runtime abort: {type(exc).__name__}: {exc}\n"
 
+    def test_run_seed_override_is_schema_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(minimal_kinetic()))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config key seed: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_run_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "out")]) == 2
@@ -247,6 +257,17 @@ class TestCli:
         assert main(["diff-reports", str(pa), str(pb)]) == 1
         assert main(["diff-reports", str(pa), str(pb), "--tol", "1.0"]) == 0
         assert main(["diff-reports", str(pa), str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[]"])
+    def test_diff_reports_rejects_unreadable_report(self, tmp_path, capsys, content):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"records": []}))
+        bad.write_bytes(content)
+        for pair in ([good, bad], [bad, good]):
+            assert main(["diff-reports", *map(str, pair)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("cannot read report: ")
+            assert captured.err.count("\n") == 1 and captured.out == ""
 
     @staticmethod
     def _diff(tmp_path, a, b):

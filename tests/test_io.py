@@ -1,12 +1,23 @@
-"""The columnar CSV writer against the row-at-a-time writers it replaced.
+"""The numpy CSV writer against the Python code it replaced.
 
-Every public writer must produce byte-identical files to the reference
-writers below (one `fmt` call per cell, one `fh.write` per row), at the
-default block size and at a block size of 7 rows, so that block
-boundaries fall inside a snapshot."""
+`_render` must give exactly the strings of `python_cells`, the per-value
+`%.17g` comprehension it replaced, and `_write_csv` must write the bytes of
+`ref_write_csv`, the row-join writer it replaced.  Every public writer must
+also produce byte-identical files to the reference writers below (one `fmt`
+call per cell, one `fh.write` per row), at the default block size and at a
+block size of 7 rows, so that block boundaries fall inside a snapshot."""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kinflock.io as kio
 from kinflock.diagnostics import DiagnosticsReport
@@ -17,6 +28,47 @@ from kinflock.phase import AgentState, Ensemble, HeadingState
 
 SPECIAL = [-0.0, 5e-324, 0.1, 1e22, 3.0, -7.0, 2.0 ** 53, -1e-300, np.pi]
 POSITIVE = [5e-324, 0.1, 1e22, 3.0, 2.0 ** 53, 1e-300, np.pi]
+
+
+# --- reference: Python formatting and the row-join writer ----------------
+
+def python_cells(column):
+    """The per-value rendering `_render` replaced."""
+    return [f"{c:.17g}" for c in column.tolist()]
+
+
+def ref_write_csv(path, header, blocks):
+    """The row-join writer `_write_csv` replaced."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for n, columns in blocks:
+            for a in range(0, n, kio.ROWS_PER_WRITE):
+                b = min(a + kio.ROWS_PER_WRITE, n)
+                cells = [ref_cells(c, a, b) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def ref_cells(column, a, b):
+    if isinstance(column, str):
+        return repeat(column, b - a)
+    if isinstance(column, list):
+        return column[a:b]
+    if column.dtype.kind == "S":
+        return [c.decode() for c in column[a:b].tolist()]
+    return python_cells(column[a:b])
+
+
+def rendered(column):
+    """`_render`'s rows as str, checking that NULs only pad their ends."""
+    out = kio._render(column)
+    pad = out == 0
+    assert not (pad[:, :-1] & ~pad[:, 1:]).any()
+    return [c.decode() for c in out.view(f"S{out.shape[1]}").reshape(-1).tolist()]
+
+
+def assert_renders_like_python(values):
+    values = np.asarray(values)
+    assert rendered(values) == python_cells(values)
 
 
 # --- reference writers: one row at a time --------------------------------
@@ -170,6 +222,7 @@ def test_field(tmp_path, rows_per_write, dim):
 
 def test_diagnostics_csv(tmp_path, rows_per_write):
     records = [{"t": 0.0, "step": 0, "mass": 1e22, "label": "start", "ok": True},
+               {"t": 0.05, "label": "λ → ∞, ü"},
                {"t": 0.1, "step": np.int64(3), "mass": np.float64(-0.0)},
                {"t": 5e-324, "extra": 7, "label": "end"}]
     records += [{"t": float(k), "step": k, "mass": 0.1 * k} for k in range(12)]
@@ -182,3 +235,125 @@ def test_report_without_records_writes_no_csv(tmp_path):
     kio.write_report(str(tmp_path), DiagnosticsReport())
     assert (tmp_path / "diagnostics.json").is_file()
     assert not (tmp_path / "diagnostics.csv").exists()
+
+
+# --- the kernel -------------------------------------------------------------
+
+def _random_doubles(seed, n):
+    """n uniformly random bit patterns: every exponent, nan and inf included."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+
+
+def test_render_random_bit_patterns():
+    assert_renders_like_python(_random_doubles(0, 10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_render_any_floats(xs):
+    assert_renders_like_python(np.array(xs, dtype=np.float64))
+
+
+def _near_powers_of_ten():
+    tens = np.array([float(f"1e{q}") for q in range(-323, 309)])
+    return np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+
+
+def test_render_edge_values():
+    near = _near_powers_of_ten()
+    rng = np.random.default_rng(1)
+    subnormal = rng.integers(1, 2 ** 52, 10000).view(np.float64)
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               1e-5, 1e-4, np.nextafter(1e-4, 0), 0.00012345, 1e16, 1e17,
+               np.nextafter(1e17, 0), 12345678901234567.0, 123456789012345678.0]
+    values = np.concatenate([near, subnormal, special])
+    assert_renders_like_python(np.concatenate([values, -values]))
+    # the notation switches at k = -5/-4 and 16/17, and both zeros
+    assert rendered(np.array([1e-5, 1e-4, np.nextafter(1e-4, 0), 1e16, 1e17,
+                              np.nextafter(1e17, 0), -0.0, 0.0, 5e-324])) == [
+        "1.0000000000000001e-05", "0.0001", "9.9999999999999991e-05",
+        "10000000000000000", "1e+17", "99999999999999984", "-0", "0",
+        "4.9406564584124654e-324"]
+
+
+def test_render_exact_ties_and_large_values():
+    # 10 * x ends in .5 exactly: a tie at the 17th digit, rounded half-even
+    ties = 1e15 + 0.25 + 0.5 * np.arange(4000)
+    large = np.random.default_rng(2).uniform(1e15, 1e18, 10 ** 5)
+    assert_renders_like_python(np.concatenate([ties, -ties, large]))
+    assert rendered(ties[:2]) == ["1000000000000000.2", "1000000000000000.8"]
+
+
+def test_render_int64_and_column_views():
+    rng = np.random.default_rng(3)
+    info = np.iinfo(np.int64)
+    ints = rng.integers(info.min, info.max, 10000)
+    assert_renders_like_python(np.concatenate([ints, [0, 1, -1, 2 ** 53 + 1, info.max]]))
+    a = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-30, 30, (300, 3))
+    for column in [*a.T, a[::-7, 1], a.T[::-1][0]]:
+        assert not column.flags.c_contiguous
+        assert_renders_like_python(column)
+    assert kio._render(np.array([])).shape[0] == 0
+
+
+def test_few_values_fall_back():
+    # fallback values are formatted one at a time: the kernel's speed rests
+    # on there being few of them
+    bits = _random_doubles(4, 10 ** 6)
+    _, _, ok = kio._digits(bits[np.isfinite(bits)])
+    assert (~ok).mean() < 0.005
+    # where log10 misjudges the decade; the one fallback is an exact tie,
+    # 100 * (1e15 - 1/8) = 99999999999999987.5
+    near = _near_powers_of_ten()
+    assert near[~kio._digits(near)[2]].tolist() == [1e15 - 0.125]
+    x = np.linspace(-3.0, 3.0, 256)
+    grid = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 0.5) / (np.pi * 0.5)
+    assert kio._digits(grid.reshape(-1))[2].all()
+
+
+def test_import_builds_no_table():
+    src = str(Path(kio.__file__).parents[1])
+    code = ("import sys, kinflock.cli, kinflock.io as kio; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)), "
+            "kio._pow10.cache_info().currsize, kio._quad.cache_info().currsize, "
+            "kio._layout.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["[]", "0", "0", "0"]
+
+
+# --- the writer ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, kio.ROWS_PER_WRITE, kio.ROWS_PER_WRITE + 1])
+def test_write_csv_matches_row_join(tmp_path, n):
+    rng = np.random.default_rng(n)
+    values = _values(rng, n, SPECIAL)
+    blocks = [(n, ["7", [f"r{i}" for i in range(n)], values, np.arange(n).astype(np.bytes_),
+                   np.arange(n) - n // 2, values[::-1]]),
+              (3, ["", ["ü", "", "a,b"], np.array([np.nan, -np.inf, np.inf]),
+                   np.array([b"x", b"", b"yz"]), np.array([3, -4, 5]), np.zeros(3)])]
+    header = ["s", "list", "f", "bytes", "int", "rev"]
+    kio._write_csv(str(tmp_path / "new.csv"), header, blocks)
+    ref_write_csv(str(tmp_path / "ref.csv"), header, blocks)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_memory_is_bounded_per_slice(tmp_path):
+    x = np.linspace(-3.0, 3.0, 128)
+
+    def peak(n_v):  # a block of 128 * n_v rows
+        v = np.linspace(-3.0, 3.0, n_v)
+        grid = PhaseGrid(x, v, np.exp(-(x[:, None] ** 2 + v[None, :] ** 2)), 0.1, 1.0)
+        tracemalloc.start()
+        try:
+            kio.write_grid_snapshots(str(tmp_path / "g.csv"), [grid], [0])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert 128 * 128 == kio.ROWS_PER_WRITE
+    peak(128)  # builds the lazy tables
+    one_slice = peak(128)
+    assert peak(4 * 128) <= 1.5 * one_slice
+    assert peak(16 * 128) <= 1.5 * one_slice
