@@ -101,6 +101,14 @@ def _read_report(path):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level is not a JSON object")
+    records, assertions = doc.get("records", []), doc.get("assertions", [])
+    if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+        raise ValueError(f"{path}: records is not a list of JSON objects")
+    if not (isinstance(assertions, list) and all(
+            isinstance(c, dict) and isinstance(c.get("name"), str)
+            and _is_number(c.get("value")) and "passed" in c for c in assertions)):
+        raise ValueError(f"{path}: assertions is not a list of objects with "
+                         "a string name, a number value and passed")
     return doc
 
 

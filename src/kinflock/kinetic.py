@@ -223,9 +223,10 @@ def moments_at_points(ensemble: Ensemble, centers, r, index=None):
     (m_j, m_j v_j) over the strict radius-r balls."""
     if index is None:
         index = SpatialIndex(ensemble.x, r)
-    mass = ensemble.mass
-    sums = index.neighborhood_sums(
-        centers, r, np.column_stack([mass, mass[:, None] * ensemble.v]))
+    weights = np.empty((ensemble.n, 1 + ensemble.dim))
+    weights[:, 0] = ensemble.mass
+    np.multiply(ensemble.mass[:, None], ensemble.v, out=weights[:, 1:])
+    sums = index.neighborhood_sums(centers, r, weights)
     return sums[:, 0], sums[:, 1:]
 
 
@@ -242,7 +243,7 @@ def advance_characteristics(ensemble: Ensemble, field, dt):
         E = np.asarray(field(ens.t, ens.x), dtype=float).reshape(ens.n, ens.dim)
     else:
         E = np.asarray(field, dtype=float).reshape(ens.n, ens.dim)
-    if not np.all(np.isfinite(E)):
+    if not np.isfinite(E).all():
         bad = int(np.nonzero(~np.isfinite(E).all(axis=1))[0][0])
         raise InvariantViolationError(
             f"non-finite field value at particle {bad}, x={ens.x[bad]}", index=bad)
@@ -315,9 +316,7 @@ def run_self_consistent(ensemble0: Ensemble, T, dt, delta=0.0,
             if delta > 0:
                 E = j / (delta + rho)[:, None]
             else:
-                E = np.zeros_like(j)
-                nz = rho > 0
-                E[nz] = j[nz] / rho[nz, None]
+                E = np.divide(j, rho[:, None], out=np.zeros_like(j), where=rho[:, None] > 0)
             ens = advance_characteristics(ens, E, dt)
             speed = np.sqrt((ens.v ** 2).sum(axis=1))
             if speed.size and speed.max() > m0 + SUPPORT_SLACK:

@@ -172,11 +172,11 @@ class Ensemble:
         in its order and with its messages."""
         for name, a in (("x", x), ("v", v), ("density_value", density_value),
                         ("phase_volume", phase_volume)):
-            if not np.all(np.isfinite(a)):
+            if not np.isfinite(a).all():
                 raise InvalidInputError(f"{name}: non-finite entries")
-        if np.any(density_value < 0):
+        if (density_value < 0).any():
             raise InvalidInputError("mass and density_value must be non-negative")
-        if np.any(phase_volume <= 0):
+        if (phase_volume <= 0).any():
             raise InvalidInputError("phase_volume must be strictly positive")
         return self._with(t, x, v, density_value, phase_volume)
 

@@ -6,14 +6,18 @@ solvers to the analytic laws at fixed tolerances; expensive trajectories
 are shared through module-scoped fixtures.
 """
 
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import VERDICTS
 
+import kinflock
 from kinflock.agents import cutoff_cs_rhs, integrate_agents
 from kinflock.cli import main
 from kinflock.config import load_config
@@ -349,3 +353,19 @@ def test_criterion_12_determinism_across_threads(tmp_path):
         (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in names)
     _verdict(12, "identical config+seed at --threads 1 vs 8 give byte-equal "
              "outputs", identical, f"files={names}")
+
+
+def test_cutoff_agents_identical_across_blas_threads(tmp_path):
+    # 2D cut-off neighbour sums are BLAS products of exact integers, so the
+    # BLAS thread count can change no output byte
+    config = resources.files("kinflock.scenarios").joinpath("agents_cluster.json")
+    src = str(Path(kinflock.__file__).parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "kinflock.cli", "run", "--config", str(config),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert trees[0] and trees[0] == trees[1]

@@ -258,7 +258,11 @@ class TestCli:
         assert main(["diff-reports", str(pa), str(pb), "--tol", "1.0"]) == 0
         assert main(["diff-reports", str(pa), str(tmp_path / "missing.json")]) == 2
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[]"])
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b"[]", b'{"records": [1, 2]}', b'{"records": {"t": 0}}',
+        b'{"assertions": [1]}', b'{"assertions": [{"name": "x", "value": 0.0}]}',
+        b'{"assertions": [{"name": ["x"], "value": 0.0, "passed": true}]}',
+        b'{"assertions": [{"name": "x", "value": "0", "passed": true}]}'])
     def test_diff_reports_rejects_unreadable_report(self, tmp_path, capsys, content):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps({"records": []}))

@@ -252,7 +252,10 @@ def test_render_random_bit_patterns():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=64))
 def test_render_any_floats(xs):
-    assert_renders_like_python(np.array(xs, dtype=np.float64))
+    # short columns are formatted by Python; repeated, they take the kernel
+    values = np.array(xs, dtype=np.float64)
+    assert_renders_like_python(values)
+    assert_renders_like_python(np.resize(values, kio._PYTHON_BELOW))
 
 
 def _near_powers_of_ten():

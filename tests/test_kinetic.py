@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -229,7 +230,7 @@ class TestMomentsAndFields:
             r = rng.uniform(0.05, 0.4)
             m = local_moments(ens, c, r)
             sel = ((ens.x - c) ** 2).sum(axis=1) < r * r
-            assert m.rho == pytest.approx(ens.mass[sel].sum(), abs=1e-14)
+            assert m.rho == pytest.approx(math.fsum(ens.mass[sel]), abs=1e-14)
             assert np.allclose(m.j, (ens.mass[sel, None] * ens.v[sel]).sum(axis=0),
                                atol=1e-14)
 

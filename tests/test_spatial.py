@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +60,12 @@ def test_rejects_bad_input():
         idx.neighborhood_sums(np.zeros((1, 3)), 1.0, np.ones(3))
     with pytest.raises(InvalidInputError):
         idx.neighborhood_sums(np.zeros((1, 2)), 1.0, np.ones(4))
+    for dim in (1, 2):
+        idx = build_index(np.zeros((3, dim)), cell_size=1.0)
+        with pytest.raises(InvalidInputError):
+            idx.neighborhood_sums(np.zeros((1, dim)), 1.0, [1.0, np.inf, 1.0])
+        with pytest.raises(InvalidInputError):
+            idx.neighborhood_sums(np.full((1, dim), np.nan), 1.0, np.ones(3))
 
 
 def test_matches_brute_force_large_2d():
@@ -166,10 +175,24 @@ def _signed_weights(rng, n, k):
     return np.column_stack(cols[:k])
 
 
+def correctly_rounded(values):
+    """math.fsum(values): the exact sum rounded once to nearest-even, +0.0
+    if zero.  fsum raises OverflowError when a partial sum overflows, even
+    if the exact sum is finite; the exact rational sum decides then."""
+    try:
+        return math.fsum(values) + 0.0
+    except OverflowError:
+        total = sum(map(Fraction, values))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+
+
 def test_neighborhood_sums_equal_numpy_sums_of_neighbour_lists(monkeypatch):
-    # each column is summed as numpy sums the neighbour list in index order,
-    # so sums agree bit for bit (sign of zero included) with
-    # weights[query_radius(c, r), col].sum()
+    # each column is the exact sum over the neighbour list rounded once, so
+    # sums agree bit for bit with math.fsum of weights[query_radius(c, r), col]
+    # (a zero sum, even of -0.0 weights, is +0.0)
     for pair_block in (spatial.PAIR_BLOCK, 7):
         monkeypatch.setattr(spatial, "PAIR_BLOCK", pair_block)
         for case in (_counts_across_pairwise_thresholds, _random_2d_off_points,
@@ -182,8 +205,89 @@ def test_neighborhood_sums_equal_numpy_sums_of_neighbour_lists(monkeypatch):
                 got = idx.neighborhood_sums(centers, r, weights)
                 for c, row in zip(centers, got):
                     nbr = query_radius(idx, c, r)
-                    want = np.array([weights[nbr, col].sum() for col in range(k)])
+                    want = np.array([correctly_rounded(weights[nbr, col]) for col in range(k)])
                     assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_permuting_the_particles_permutes_the_sums(dim, monkeypatch):
+    # the sums depend on the neighbour set only: the order of the points and
+    # the block size change no bit
+    rng = np.random.default_rng(20 + dim)
+    pts = np.round(rng.uniform(-1, 1, (600, dim)), 1)  # many shared coordinates
+    weights = _signed_weights(rng, len(pts), 4)
+    centers = rng.uniform(-1.2, 1.2, (50, dim))
+    perm = rng.permutation(len(pts))
+    want = SpatialIndex(pts, 0.3).neighborhood_sums(pts, 0.3, weights)
+    want_off = SpatialIndex(pts, 0.3).neighborhood_sums(centers, 0.3, weights)
+    monkeypatch.setattr(spatial, "PAIR_BLOCK", 7)
+    idx = SpatialIndex(pts[perm], 0.3)
+    assert idx.neighborhood_sums(idx.positions, 0.3, weights[perm]).tobytes() == want[perm].tobytes()
+    assert idx.neighborhood_sums(centers, 0.3, weights[perm]).tobytes() == want_off.tobytes()
+
+
+def _adversarial_weights(rng, n):
+    """Columns whose sums are hard to round: subnormals down to 5e-324,
+    values whose sums overflow, pairs that cancel exactly, and sums that
+    fall on or next to a half-ulp tie with the deciding bits in other limbs."""
+    sign = rng.choice([-1.0, 1.0], n)
+    subnormal = sign * rng.integers(1, 1 << 52, n) * 5e-324
+    subnormal[::7] = 5e-324
+    huge = rng.choice([1.7e308, -1.7e308, 9e307], n)
+    cancel = rng.normal(size=n // 2) * 10.0 ** rng.integers(-30, 30, n // 2)
+    cancel = np.repeat(cancel, 2) * np.tile([1.0, -1.0], n // 2)
+    tie = rng.choice([1.0, 3.0, 2.0 ** -53, 2.0 ** -54, 2.0 ** -106, -2.0 ** -106, 2.0 ** -300], n)
+    wide = sign * 10.0 ** rng.uniform(-40, 40, n)
+    return np.column_stack([subnormal, huge, cancel, tie * sign[::-1], tie, wide])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_neighborhood_sums_round_adversarial_columns_exactly(dim):
+    rng = np.random.default_rng(30 + dim)
+    # points in coincident pairs, so each cancelling pair shares its neighbourhoods
+    pts = np.repeat(rng.uniform(-1, 1, (300, dim)), 2, axis=0)
+    weights = _adversarial_weights(rng, len(pts))
+    centers = np.vstack([pts[::5], rng.uniform(-1.2, 1.2, (40, dim))])
+    idx = SpatialIndex(pts, 0.25)
+    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, as for its own sums
+        got = idx.neighborhood_sums(centers, 0.25, weights)
+    for c, row in zip(centers, got):
+        nbr = query_radius(idx, c, 0.25)
+        want = np.array([correctly_rounded(weights[nbr, col]) for col in range(weights.shape[1])])
+        assert row.tobytes() == want.tobytes()
+    assert np.all(got[:, 2] == 0.0) and not np.signbit(got[:, 2]).any()
+    assert np.isinf(got[:, 1]).any() and np.isfinite(got[:, 1]).any()
+    assert (got[:, 0] != 0).all() and (np.abs(got[:, 0]) < 2.0 ** -1022).any()
+
+
+def test_count_column_equals_brute_force_counts_on_the_lattice():
+    # the 1/6 lattice with r = 0.5: every point has 72 copies, and centres
+    # that are not points sit exactly r from nodes, between nodes, or past
+    # the ends
+    pts, _, r, cell = _lattice_1d_ties(None)
+    nodes = np.unique(pts)
+    centers = np.concatenate([nodes, nodes - r, nodes + r, nodes + 1 / 12,
+                              [-3.0, 2.5, -2.0 - r, 2.0 + r]])
+    counts = SpatialIndex(pts, cell).neighborhood_sums(centers, r, np.ones(len(pts)))[:, 0]
+    assert counts.tolist() == [len(brute_force_radius(pts, c, r)) for c in centers]
+
+
+def test_self_consistent_field_is_bounded_by_the_neighbour_speeds():
+    # |E_i| <= max |v_j| over the neighbours of i; the weights m_j v_j, the
+    # two sums and the quotient are rounded once each, which allows a few
+    # units in the last place where every neighbour has the same speed (the
+    # last 300 points, in clusters of 10 far apart)
+    rng = np.random.default_rng(40)
+    x = np.concatenate([np.round(rng.normal(size=2000), 2), np.repeat(10.0 + np.arange(30), 10)])
+    v = rng.uniform(-1, 1, 2300) * 10.0 ** rng.integers(-3, 1, 2300)
+    v[2000:] = np.repeat(rng.uniform(0.01, 3, 30), 10)
+    mass = rng.uniform(0.1, 1.0, 2300) * 10.0 ** rng.integers(-6, 0, 2300)
+    idx = SpatialIndex(x, 0.05)
+    rho, j = idx.neighborhood_sums(x, 0.05, np.column_stack([mass, mass * v])).T
+    for i in range(0, 2300, 7):
+        vmax = np.abs(v[idx.query_radius(x[i], 0.05)]).max()
+        for delta in (0.0, 1e-3):
+            assert abs(j[i] / (delta + rho[i])) <= vmax * (1 + 2.0 ** -50)
 
 
 @pytest.mark.parametrize("case", [_lattice_1d_ties, _random_2d_off_points,
