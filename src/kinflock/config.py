@@ -197,7 +197,37 @@ def validate_config(data: dict) -> ScenarioConfig:
     if ib is not None and "x_bounds" in ib:
         if len(ib["x_bounds"]) != merged["dim"] or len(ib["v_bounds"]) != merged["dim"]:
             raise ConfigError("initial bounds must have one [lo, hi] pair per dimension")
+        _check_centres(ib, merged["dim"])
     return ScenarioConfig(merged)
+
+
+def _check_centres(ib, dim):
+    """two_bump takes x_centers and v_centers together, with equal numbers
+    of centres, at least one; product_gaussian_truncated takes one centre
+    per key, bare or in a list.  A centre is a list of `dim` numbers."""
+    def point(c):
+        return (isinstance(c, list) and len(c) == dim
+                and all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in c))
+
+    kind = ib["kind"]
+    if kind == "box_indicator":  # it has no centres to read
+        return
+    given = [key for key in ("x_centers", "v_centers") if key in ib]
+    for key in given:
+        c = ib[key]
+        if kind == "two_bump" and not (c and all(map(point, c))):
+            raise ConfigError(f"config key initial/{key}: two_bump needs one or more "
+                              f"centres in {dim}D, got {c!r}")
+        if kind != "two_bump" and not (point(c) or len(c) == 1 and point(c[0])):
+            raise ConfigError(f"config key initial/{key}: {kind} needs one centre "
+                              f"in {dim}D, got {c!r}")
+    if kind == "two_bump" and len(given) == 1:
+        missing = {"x_centers", "v_centers"}.difference(given).pop()
+        raise ConfigError(f"config key initial/{missing}: two_bump needs x_centers "
+                          "and v_centers together")
+    if kind == "two_bump" and given and len(ib["x_centers"]) != len(ib["v_centers"]):
+        raise ConfigError(f"config key initial/v_centers: {len(ib['v_centers'])} "
+                          f"centres, but x_centers has {len(ib['x_centers'])}")
 
 
 def load_config(path, seed=None) -> ScenarioConfig:

@@ -98,13 +98,13 @@ class FieldGrid:
         return FieldGrid(np.asarray(times, float), tuple(axes), np.zeros(shape), bound)
 
 
-def default_field_box(f0: Ensemble, T, margin=0.0):
+def default_field_box(f0: Ensemble, T):
     """Spatial box covering the initial support inflated by M0*T per side,
     so characteristics never leave the interpolation region."""
     m0 = f0.initial_support_bound
     if f0.n:
-        lo = f0.x.min(axis=0) - m0 * T - margin
-        hi = f0.x.max(axis=0) + m0 * T + margin
+        lo = f0.x.min(axis=0) - m0 * T
+        hi = f0.x.max(axis=0) + m0 * T
     else:
         lo = np.full(f0.dim, -1.0)
         hi = np.full(f0.dim, 1.0)
@@ -153,7 +153,7 @@ class PicardResult:
 
 
 def picard_solve(f0: Ensemble, lam, r, delta, T, n_time_nodes, n_space_nodes,
-                 tol, max_iter, damping=1.0, box=None):
+                 tol, max_iter, damping=1.0):
     """Iterate E <- (1-theta) E + theta F[E] from the zero field until the
     discrete sup-norm update falls below tol.
 
@@ -165,10 +165,7 @@ def picard_solve(f0: Ensemble, lam, r, delta, T, n_time_nodes, n_space_nodes,
     if not (0 < damping <= 1):
         raise InvalidInputError("damping must be in (0, 1]")
     m0 = f0.initial_support_bound
-    if box is None:
-        lo, hi = default_field_box(f0, T)
-    else:
-        lo, hi = (np.asarray(b, float) for b in box)
+    lo, hi = default_field_box(f0, T)
     times = np.linspace(0.0, T, n_time_nodes)
     axes = tuple(np.linspace(lo[k], hi[k], n_space_nodes) for k in range(f0.dim))
     E = FieldGrid.zero(times, axes, m0)

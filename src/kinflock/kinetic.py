@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .phase import Ensemble, LocalMoments
+from .phase import Ensemble, LocalMoments, march
 from .spatial import SpatialIndex
 
 SUPPORT_SLACK = 1e-9
@@ -230,15 +230,12 @@ def moments_at_points(ensemble: Ensemble, centers, r, index=None):
     return sums[:, 0], sums[:, 1:]
 
 
-def advance_characteristics(ensemble: Ensemble, field, dt):
-    """One exact frozen-field step.
+def _flow(ens: Ensemble, field, dt):
+    """New (x, v) after one exact frozen-field step of length dt.
 
     `field` is either a callable (t, X) -> (N, d) array or a precomputed
     (N, d) array of field values at the particle positions.
     """
-    if not (dt > 0):
-        raise InvalidInputError("dt must be positive")
-    ens = ensemble
     if callable(field):
         E = np.asarray(field(ens.t, ens.x), dtype=float).reshape(ens.n, ens.dim)
     else:
@@ -250,52 +247,45 @@ def advance_characteristics(ensemble: Ensemble, field, dt):
     lam = ens.lam
     decay = np.exp(-lam * dt)
     dv = ens.v - E
-    new_v = E + dv * decay
-    new_x = ens.x + E * dt + dv * (1.0 - decay) / lam
-    grow = np.exp(lam * ens.dim * dt)
-    return ens.stepped(ens.t + dt, new_x, new_v,
-                       ens.density_value * grow, ens.phase_volume / grow)
+    return ens.x + E * dt + dv * (1.0 - decay) / lam, E + dv * decay
 
 
-def _set_step(ens: Ensemble, ens0: Ensemble, step, dt):
-    """`ens` with time and growth factors from the step count, not
-    accumulated: one rounding per step would break the 1e-12 growth laws
-    within 1e4 steps."""
-    t = ens0.t + step * dt
-    grow = np.exp(ens.lam * ens.dim * (t - ens0.t))
-    return ens.stepped(t, ens.x, ens.v,
-                       ens0.density_value * grow, ens0.phase_volume / grow)
+def advance_characteristics(ensemble: Ensemble, field, dt):
+    """One exact frozen-field step (see `_flow` for `field`)."""
+    if not (dt > 0):
+        raise InvalidInputError("dt must be positive")
+    return ensemble.stepped(ensemble.t + dt, *_flow(ensemble, field, dt))
 
 
 @dataclass
 class KineticRunResult:
-    snapshots: list = field(default_factory=list)  # list of Ensemble copies
+    snapshots: list = field(default_factory=list)  # list of Ensemble
     snapshot_steps: list = field(default_factory=list)
 
 
 def run_linear(ensemble0: Ensemble, field, T, dt, snapshot_stride=1):
     """Advance the ensemble under a prescribed field evaluator
-    (t, X) -> (N, d); the linear problem driven by a frozen external field."""
+    (t, X) -> (N, d); the linear problem driven by a frozen external field.
+
+    Time and growth come from the step count, not accumulated: one rounding
+    per step would break the 1e-12 growth laws within 1e4 steps."""
     if not (T > 0 and dt > 0):
         raise InvalidInputError("T and dt must be positive")
-    n_steps = max(1, int(round(T / dt)))
-    ens = ensemble0.copy()
-    result = KineticRunResult([ens.copy()], [0])
-    for step in range(1, n_steps + 1):
-        if ens.n:
-            ens = advance_characteristics(ens, field, dt)
-        ens = _set_step(ens, ensemble0, step, dt)
-        if step % snapshot_stride == 0 or step == n_steps:
-            result.snapshots.append(ens.copy())
-            result.snapshot_steps.append(step)
-    return result
+
+    def step(ens, k):
+        x, v = _flow(ens, field, dt) if ens.n else (ens.x, ens.v)
+        return ensemble0.stepped(ensemble0.t + k * dt, x, v)
+
+    return KineticRunResult(*march(ensemble0.copy(), step, max(1, int(round(T / dt))),
+                                   snapshot_stride))
 
 
 def run_self_consistent(ensemble0: Ensemble, T, dt, delta=0.0,
                         snapshot_stride=1):
     """Self-consistent nonlinear run: at each step rebuild the spatial
     index, evaluate the (regularized) mean velocity field at every particle
-    position from the current ensemble, and advance one frozen-field step.
+    position from the current ensemble, and advance one frozen-field step,
+    with time and growth from the step count as in `run_linear`.
 
     delta = 0 selects the unregularized field with its zero branch on empty
     neighborhoods.
@@ -304,28 +294,24 @@ def run_self_consistent(ensemble0: Ensemble, T, dt, delta=0.0,
         raise InvalidInputError("T and dt must be positive")
     if delta < 0:
         raise InvalidInputError("delta must be >= 0")
-    n_steps = max(1, int(round(T / dt)))
-    ens = ensemble0.copy()
-    m0 = ens.initial_support_bound
-    result = KineticRunResult([ens.copy()], [0])
-    r = ens.radius
-    for step in range(1, n_steps + 1):
-        if ens.n:
-            index = SpatialIndex(ens.x, r)
-            rho, j = moments_at_points(ens, ens.x, r, index=index)
-            if delta > 0:
-                E = j / (delta + rho)[:, None]
-            else:
-                E = np.divide(j, rho[:, None], out=np.zeros_like(j), where=rho[:, None] > 0)
-            ens = advance_characteristics(ens, E, dt)
-            speed = np.sqrt((ens.v ** 2).sum(axis=1))
-            if speed.size and speed.max() > m0 + SUPPORT_SLACK:
-                bad = int(speed.argmax())
-                raise InvariantViolationError(
-                    f"velocity support bound violated: |v|={speed.max():.17g} "
-                    f"> M0={m0:.17g}", step=step, index=bad)
-        ens = _set_step(ens, ensemble0, step, dt)
-        if step % snapshot_stride == 0 or step == n_steps:
-            result.snapshots.append(ens.copy())
-            result.snapshot_steps.append(step)
-    return result
+    m0 = ensemble0.initial_support_bound
+    r = ensemble0.radius
+
+    def step(ens, k):
+        if not ens.n:
+            return ensemble0.stepped(ensemble0.t + k * dt, ens.x, ens.v)
+        rho, j = moments_at_points(ens, ens.x, r, index=SpatialIndex(ens.x, r))
+        if delta > 0:
+            E = j / (delta + rho)[:, None]
+        else:
+            E = np.divide(j, rho[:, None], out=np.zeros_like(j), where=rho[:, None] > 0)
+        ens = ensemble0.stepped(ensemble0.t + k * dt, *_flow(ens, E, dt))
+        speed = np.sqrt((ens.v ** 2).sum(axis=1))
+        if speed.max() > m0 + SUPPORT_SLACK:
+            raise InvariantViolationError(
+                f"velocity support bound violated: |v|={speed.max():.17g} "
+                f"> M0={m0:.17g}", step=k, index=int(speed.argmax()))
+        return ens
+
+    return KineticRunResult(*march(ensemble0.copy(), step, max(1, int(round(T / dt))),
+                                   snapshot_stride))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ResolutionError
+from .phase import march
 from .spatial import SpatialIndex
 
 
@@ -134,17 +135,12 @@ def semi_lagrangian_step(grid: PhaseGrid, E, dt, boundary_tol=1e-6):
 
 def run_oracle(grid0: PhaseGrid, E, T, dt, snapshot_stride=1):
     """Step the grid to time T, collecting snapshots."""
-    n_steps = max(1, int(round(T / dt)))
-    grid = grid0.copy()
-    snaps = [grid.copy()]
-    steps = [0]
-    for step in range(1, n_steps + 1):
+    def step(grid, k):
         grid = semi_lagrangian_step(grid, E, dt)
-        grid.t = grid0.t + step * dt
-        if step % snapshot_stride == 0 or step == n_steps:
-            snaps.append(grid.copy())
-            steps.append(step)
-    return snaps, steps
+        grid.t = grid0.t + k * dt
+        return grid
+
+    return march(grid0.copy(), step, max(1, int(round(T / dt))), snapshot_stride)
 
 
 def oracle_lp_norm(grid: PhaseGrid, p):

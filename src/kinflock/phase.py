@@ -5,6 +5,7 @@ each particle carries a mass, the pointwise density value transported along
 its characteristic, and the phase-space volume element it represents.  The
 product density_value * phase_volume equals the (constant) mass; both
 factors are updated by reciprocal exponentials so the identity is exact.
+`march` is the time loop that every solver runs its steps through.
 """
 
 from __future__ import annotations
@@ -31,6 +32,20 @@ def _as_points(arr, dim, name):
     return a
 
 
+def march(state, step, n_steps, stride):
+    """(snapshots, steps): `state` and the state after every `stride`-th
+    step and after the last of `n_steps`.  `step(state, k)` returns the
+    state after step k as a new object, so snapshots are the states
+    themselves."""
+    snapshots, steps = [state], [0]
+    for k in range(1, n_steps + 1):
+        state = step(state, k)
+        if k % stride == 0 or k == n_steps:
+            snapshots.append(state)
+            steps.append(k)
+    return snapshots, steps
+
+
 @dataclass
 class AgentState:
     """Positions and velocities of N discrete agents."""
@@ -51,9 +66,6 @@ class AgentState:
     @property
     def n(self):
         return len(self.positions)
-
-    def copy(self):
-        return AgentState(self.t, self.dim, self.positions.copy(), self.velocities.copy())
 
 
 def wrap_angle(theta):
@@ -87,9 +99,6 @@ class HeadingState:
     @property
     def n(self):
         return len(self.positions)
-
-    def copy(self):
-        return HeadingState(self.t, self.positions.copy(), self.headings.copy(), self.speed)
 
 
 @dataclass
@@ -160,16 +169,18 @@ class Ensemble:
         return float(np.sqrt((self.v ** 2).sum(axis=1)).max())
 
     def copy(self):
-        """An independent copy.  It skips __post_init__: every array it
-        copies has passed it, or the checks of `stepped`."""
-        return self._with(self.t, self.x.copy(), self.v.copy(),
-                          self.density_value.copy(), self.phase_volume.copy())
+        """An independent copy, through `stepped` at the same time."""
+        return self.stepped(self.t, self.x.copy(), self.v.copy())
 
-    def stepped(self, t, x, v, density_value, phase_volume):
-        """The ensemble at time t with new (N, dim) positions and velocities
-        and new (N,) density values and phase volumes; mass and the scalars
-        carry over.  The new arrays get the value checks of __post_init__,
-        in its order and with its messages."""
+    def stepped(self, t, x, v):
+        """The ensemble at time t with new (N, dim) positions and velocities.
+        Density values grow by e^{lam*dim*(t - self.t)} and phase volumes
+        shrink by the same factor; mass and the scalars carry over.  The new
+        arrays get the value checks of __post_init__, in its order and with
+        its messages."""
+        grow = np.exp(self.lam * self.dim * (t - self.t))
+        density_value = self.density_value * grow
+        phase_volume = self.phase_volume / grow
         for name, a in (("x", x), ("v", v), ("density_value", density_value),
                         ("phase_volume", phase_volume)):
             if not np.isfinite(a).all():
@@ -178,9 +189,6 @@ class Ensemble:
             raise InvalidInputError("mass and density_value must be non-negative")
         if (phase_volume <= 0).any():
             raise InvalidInputError("phase_volume must be strictly positive")
-        return self._with(t, x, v, density_value, phase_volume)
-
-    def _with(self, t, x, v, density_value, phase_volume):
         out = object.__new__(Ensemble)
         out.__dict__.update(self.__dict__, t=t, x=x, v=v, mass=self.mass.copy(),
                             density_value=density_value, phase_volume=phase_volume)

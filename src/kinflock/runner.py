@@ -23,7 +23,7 @@ from .fixed_point import lipschitz_modulus, picard_solve
 from .kinetic import (InitialDistributionSpec, run_linear, run_self_consistent,
                       sample_initial)
 from .oracle import PhaseGrid, oracle_lp_norm, run_oracle
-from .phase import AgentState, HeadingState
+from .phase import AgentState, HeadingState, march
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +76,9 @@ def sample_agents(cfg: ScenarioConfig, rng):
     spec = initial_spec_from_config(cfg)
     spec.sampling = ("monte_carlo", cfg["n_agents"], None)
     ens = sample_initial(spec, cfg["lam"], cfg["radius"], rng=rng)
+    if ens.n == 0 and cfg["n_agents"] > 0:
+        raise ConfigError(f"the initial distribution has zero mass, so none of "
+                          f"the {cfg['n_agents']} agents can be drawn")
     return AgentState(0.0, cfg["dim"], ens.x, ens.v), spec
 
 
@@ -145,12 +148,8 @@ def run_agents(cfg: ScenarioConfig, out_dir):
         pos = rng.uniform(xb[:, 0], xb[:, 1], size=(n, 2))
         head = rng.uniform(-np.pi, np.pi, size=n)
         state = HeadingState(0, pos, head, cfg["vicsek"]["speed"])
-        snaps, steps = [state.copy()], [0]
-        for step in range(1, n_steps + 1):
-            state = vicsek_step(state, cfg["radius"], cfg["vicsek"]["noise"], noise_rng)
-            if step % stride == 0 or step == n_steps:
-                snaps.append(state.copy())
-                steps.append(step)
+        snaps, steps = march(state, lambda s, k: vicsek_step(
+            s, cfg["radius"], cfg["vicsek"]["noise"], noise_rng), n_steps, stride)
         for st in snaps:
             mean_vec = np.array([np.cos(st.headings).mean(), np.sin(st.headings).mean()]) if st.n else np.zeros(2)
             report.records.append({"t": float(st.t),
@@ -167,13 +166,9 @@ def run_agents(cfg: ScenarioConfig, out_dir):
         rhs = lambda s: mt_rhs(s, lam, kernel)
     else:
         rhs = lambda s: cutoff_cs_rhs(s, lam, r)
-    snaps, steps = [state.copy()], [0]
     max_speed0 = float(np.sqrt((state.velocities ** 2).sum(axis=1)).max()) if state.n else 0.0
-    for step in range(1, n_steps + 1):
-        state = integrate_agents(state, rhs, cfg["dt"], cfg["integrator"], lam=lam)
-        if step % stride == 0 or step == n_steps:
-            snaps.append(state.copy())
-            steps.append(step)
+    snaps, steps = march(state, lambda s, k: integrate_agents(
+        s, rhs, cfg["dt"], cfg["integrator"], lam=lam), n_steps, stride)
     for st in snaps:
         var, vdiam, xdiam = diag.flocking_metrics(st)
         report.records.append({"t": st.t, "velocity_variance": var,

@@ -178,6 +178,49 @@ class TestCli:
         assert err.startswith(f"configuration error: config key {key}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind, change, key", [
+        ("two_bump", {"x_centers": None}, "x_centers"),
+        ("two_bump", {"v_centers": None}, "v_centers"),
+        ("two_bump", {"x_centers": ["a"]}, "x_centers"),
+        ("two_bump", {"x_centers": [], "v_centers": []}, "x_centers"),
+        ("two_bump", {"v_centers": [[0.4, 0.0], [-0.4, 0.0]]}, "v_centers"),
+        ("two_bump", {"v_centers": [[0.4]]}, "v_centers"),
+        ("product_gaussian_truncated", {}, "x_centers"),
+        ("product_gaussian_truncated", {"x_centers": [0.0, 1.0]}, "x_centers"),
+        ("product_gaussian_truncated", {"x_centers": [0.0], "v_centers": [[0.1], [0.2]]},
+         "v_centers"),
+    ])
+    def test_run_rejects_malformed_bump_centres(self, tmp_path, capsys, kind, change, key):
+        data = json.loads(Path(scenario_path("kinetic_two_bump.json")).read_text())
+        data["initial"]["kind"] = kind
+        data["initial"].update(change)
+        data["initial"] = {k: v for k, v in data["initial"].items() if v is not None}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key initial/{key}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("xc, vc", [([0.1], None), ([[0.1]], [[-0.2]])])
+    def test_product_gaussian_takes_one_bare_or_listed_centre(self, xc, vc):
+        data = minimal_kinetic()
+        data["initial"].update(kind="product_gaussian_truncated", x_centers=xc)
+        if vc is not None:
+            data["initial"]["v_centers"] = vc
+        validate_config(data)
+
+    @pytest.mark.parametrize("change", [{"amplitude": 0}, {"x_bounds": [[0.0, 0.0], [-0.3, 0.3]]}])
+    def test_run_rejects_agents_drawn_from_zero_mass(self, tmp_path, capsys, change):
+        data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
+        data["initial"].update(change)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "100 agents" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 5.96 GiB"),
                                      RuntimeError("unexpected")])
     def test_run_maps_unexpected_exceptions_to_exit_3(self, tmp_path, capsys, monkeypatch,

@@ -10,7 +10,7 @@ from kinflock.kinetic import (InitialDistributionSpec, advance_characteristics,
                               local_moments, run_linear, run_self_consistent,
                               sample_initial, velocity_field, velocity_field_delta,
                               _grid_eval, _total_mass)
-from kinflock.phase import Ensemble
+from kinflock.phase import Ensemble, march
 
 
 def unit_square_spec(n_x=32, n_v=32):
@@ -175,13 +175,56 @@ class TestEnsembleSteps:
         ("density_value", -1.0, "non-negative"),
         ("phase_volume", 0.0, "strictly positive")])
     def test_stepped_checks_new_arrays(self, field, value, message):
+        # x and v are arguments; e^{lam*d*t} takes a density value to inf
+        # past t = 709.78 and a small phase volume to 0 before that; a
+        # negative density value can only be mutated in
+        ens = Ensemble(0.0, 1, 1.0, 3.0, [[0.0]], [[1.0]], [1e-300], [1.0], [1e-300],
+                       initial_support_bound=1.0)
+        new = {"x": ens.x.copy(), "v": ens.v.copy()}
+        t = 1.0
+        if field in new:
+            new[field][0] = value
+        elif value == -1.0:
+            ens.density_value[0] = value
+        else:
+            t = 800.0 if field == "density_value" else 700.0
+        with pytest.raises(InvalidInputError, match=message), np.errstate(over="ignore"):
+            ens.stepped(t, **new)
+
+    def test_stepped_grows_from_its_own_time(self):
+        ens = two_particle_ensemble(lam=0.5)
+        out = ens.stepped(0.25, ens.x, ens.v).stepped(1.0, ens.x, ens.v)
+        grow = np.exp(0.5 * 1 * (1.0 - 0.25))
+        assert out.t == 1.0
+        assert np.array_equal(out.density_value, ens.density_value * np.exp(0.125) * grow)
+        assert np.array_equal(out.phase_volume, ens.phase_volume / np.exp(0.125) / grow)
+
+    def test_support_bound_violation_aborts_at_step_one(self):
+        # the pair's speeds decay from 1 to e^{-lam*dt}, above a declared M0 = 0.5
         ens = two_particle_ensemble()
-        new = {"x": ens.x.copy(), "v": ens.v.copy(),
-               "density_value": ens.density_value.copy(),
-               "phase_volume": ens.phase_volume.copy()}
-        new[field][0] = value
-        with pytest.raises(InvalidInputError, match=message):
-            ens.stepped(1.0, **new)
+        ens.initial_support_bound = 0.5
+        with pytest.raises(InvariantViolationError,
+                           match="velocity support bound violated") as info:
+            run_self_consistent(ens, T=0.5, dt=0.05)
+        assert info.value.step == 1 and info.value.index == 0
+
+    @pytest.mark.parametrize("solver", ["linear", "self_consistent"])
+    def test_one_stepped_call_per_step(self, solver, monkeypatch):
+        calls = []
+        stepped = Ensemble.stepped
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return stepped(self, *args)
+
+        ens = two_particle_ensemble()
+        monkeypatch.setattr(Ensemble, "stepped", counted)
+        if solver == "linear":
+            run_linear(ens, lambda t, X: np.zeros_like(X), T=1.0, dt=0.1)
+        else:
+            run_self_consistent(ens, T=1.0, dt=0.1)
+        # one call for the copy at the start, then one per step
+        assert calls == [0.0] + [0.1 * k for k in range(1, 11)]
 
     @pytest.mark.parametrize("solver", ["linear", "self_consistent"])
     def test_density_overflow_aborts_the_run(self, solver):
@@ -372,6 +415,14 @@ class TestSelfConsistent:
         b = run_self_consistent(ens, T=0.2, dt=0.05, delta=1e-2)
         assert np.array_equal(a.snapshots[-1].x, b.snapshots[-1].x)
         assert np.array_equal(a.snapshots[-1].v, b.snapshots[-1].v)
+
+
+@pytest.mark.parametrize("n_steps, stride, want", [
+    (10, 3, [0, 3, 6, 9, 10]), (4, 10, [0, 4]), (3, 1, [0, 1, 2, 3])])
+def test_march_snapshots_every_stride_and_the_last(n_steps, stride, want):
+    snaps, steps = march(0, lambda s, k: s + k, n_steps, stride)
+    assert steps == want
+    assert snaps == [k * (k + 1) // 2 for k in want]
 
 
 def test_run_linear_matches_self_consistent_for_flocked_state():
