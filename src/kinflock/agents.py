@@ -10,7 +10,7 @@ kernel weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -21,37 +21,24 @@ from .spatial import SpatialIndex
 
 @dataclass
 class InteractionKernel:
-    """Pair interaction weight psi(s) >= 0, non-increasing.
-
-    kind "indicator": psi(s) = 1 for s < r, else 0 (strict cut-off).
-    kind "smooth": elementwise callable on arrays (a constant such as
-    `lambda s: 1.0` is broadcast), validated to be non-negative and
-    non-increasing on a sample of radii.
+    """Smooth pair interaction weight psi(s) >= 0, non-increasing: an
+    elementwise callable on arrays (a constant such as `lambda s: 1.0` is
+    broadcast), validated on a sample of radii.  The strict cut-off
+    psi(s) = [s < r] is not a kernel here: it runs on neighbourhood sums
+    (`cutoff_cs_rhs`).
     """
 
-    kind: str
-    r: float = 0.0
-    psi: Optional[Callable] = None
+    psi: Callable
 
     def __post_init__(self):
-        if self.kind == "indicator":
-            if not (self.r > 0):
-                raise InvalidInputError("indicator kernel needs r > 0")
-        elif self.kind == "smooth":
-            if self.psi is None:
-                raise InvalidInputError("smooth kernel needs a callable psi")
-            vals = self(np.linspace(0.0, 10.0, 64))
-            if np.any(vals < 0):
-                raise InvalidInputError("kernel must be non-negative")
-            if np.any(np.diff(vals) > 1e-12):
-                raise InvalidInputError("kernel must be non-increasing")
-        else:
-            raise InvalidInputError(f"unknown kernel kind {self.kind!r}")
+        vals = self(np.linspace(0.0, 10.0, 64))
+        if np.any(vals < 0):
+            raise InvalidInputError("kernel must be non-negative")
+        if np.any(np.diff(vals) > 1e-12):
+            raise InvalidInputError("kernel must be non-increasing")
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        if self.kind == "indicator":
-            return (np.abs(s) < self.r).astype(float)
         return np.broadcast_to(np.asarray(self.psi(s), dtype=float), s.shape)
 
     def at_zero(self):
@@ -99,15 +86,21 @@ def cs_rhs(state: AgentState, lam, kernel: InteractionKernel):
     return (lam / n) * np.einsum("ij,ijk->ik", w, dv)
 
 
-def cutoff_cs_rhs(state: AgentState, lam, r):
+def cutoff_cs_rhs(state: AgentState, lam, r, local=True):
     """Accelerations a_i = (lam/N_i) sum_{|x_j-x_i|<r} (v_j - v_i), where
-    N_i counts the strict-radius neighborhood including i itself."""
+    N_i counts the strict-radius neighborhood including i itself: the mean
+    of v over the ball minus v_i, the `mt` model with the strict cut-off.
+    local=False normalizes by the number of agents N instead, the `cs`
+    model with the strict cut-off: (lam/N) (S_i - N_i v_i) for the ball's
+    velocity sum S_i."""
     if not (r > 0):
         raise InvalidInputError("r must be positive")
     v = state.velocities
     sums = SpatialIndex(state.positions, r).neighborhood_sums(
         state.positions, r, np.column_stack([np.ones(state.n), v]))
-    return lam * (sums[:, 1:] / sums[:, :1] - v)
+    if local:
+        return lam * (sums[:, 1:] / sums[:, :1] - v)
+    return lam / max(state.n, 1) * (sums[:, 1:] - sums[:, :1] * v)
 
 
 def mt_rhs(state: AgentState, lam, kernel: InteractionKernel):

@@ -149,9 +149,6 @@ class ScenarioConfig:
     def __getitem__(self, key):
         return self.data[key]
 
-    def get(self, key, default=None):
-        return self.data.get(key, default)
-
     def seed_streams(self):
         """(sampling_rng, noise_rng, reserved_rng), deterministically
         derived from the scenario seed."""
@@ -191,6 +188,8 @@ def validate_config(data: dict) -> ScenarioConfig:
         raise ConfigError(f"{mode} mode requires an initial distribution spec")
     if mode == "agents" and merged["model"] != "vicsek" and "initial" not in data:
         raise ConfigError("agents mode requires an initial distribution spec")
+    if mode == "agents" and merged["model"] == "vicsek" and merged["dim"] != 2:
+        raise ConfigError("vicsek model requires dim = 2")
     if mode == "oracle" and merged["dim"] != 1:
         raise ConfigError("oracle mode is 1D only")
     ib = merged.get("initial")

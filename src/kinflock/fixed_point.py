@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .kinetic import advance_characteristics, moments_at_points
+from .kinetic import advance_characteristics, mean_field
 from .phase import Ensemble
 
 BOUND_SLACK = 1e-12
@@ -128,13 +128,8 @@ def apply_F(E: FieldGrid, f0: Ensemble, lam, r, delta):
     n_t = len(E.times)
     for k in range(n_t):
         t_k = E.times[k]
-        if ens.n:
-            rho, j = moments_at_points(ens, nodes, r)
-            field_vals = j / (delta + rho)[:, None]
-        else:
-            field_vals = np.zeros((len(nodes), E.dim))
-        out[k] = field_vals.reshape(out[k].shape)
-        if k + 1 < n_t and ens.n:
+        out[k] = mean_field(ens, nodes, r, delta).reshape(out[k].shape)
+        if k + 1 < n_t:
             dt = E.times[k + 1] - t_k
             ens = advance_characteristics(ens, lambda t, X: E.evaluate(t_k, X), dt)
     result = E.copy_with_values(out)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .phase import Ensemble, LocalMoments, march
+from .phase import Ensemble, march
 from .spatial import SpatialIndex
 
 SUPPORT_SLACK = 1e-9
@@ -192,42 +192,27 @@ def _grid_eval(spec, n=None):
     return spec.density(X[:, None, :], V[None, :, :]).reshape(-1), cellvol
 
 
-def local_moments(ensemble: Ensemble, x, r, index: Optional[SpatialIndex] = None):
-    """Mass and momentum of the ensemble inside the strict radius-r ball."""
-    if not (r > 0):
-        raise InvalidInputError("r must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    rho, j = moments_at_points(ensemble, x, r, index)
-    return LocalMoments(float(rho[0]), j[0])
-
-
-def velocity_field(ensemble: Ensemble, x, r, index=None):
-    """u = j/rho on the support, zero where rho vanishes."""
-    m = local_moments(ensemble, x, r, index)
-    if m.rho > 0:
-        return m.j / m.rho
-    return np.zeros(ensemble.dim)
-
-
-def velocity_field_delta(ensemble: Ensemble, x, r, delta, index=None):
-    """Regularized field u_delta = j/(delta + rho); strictly bounded by the
-    velocity support radius."""
-    if not (delta > 0):
-        raise InvalidInputError("delta must be positive")
-    m = local_moments(ensemble, x, r, index)
-    return m.j / (delta + m.rho)
-
-
-def moments_at_points(ensemble: Ensemble, centers, r, index=None):
+def moments_at_points(ensemble: Ensemble, centers, r):
     """(rho, j) at many probe points: neighbourhood sums of the weights
     (m_j, m_j v_j) over the strict radius-r balls."""
-    if index is None:
-        index = SpatialIndex(ensemble.x, r)
     weights = np.empty((ensemble.n, 1 + ensemble.dim))
     weights[:, 0] = ensemble.mass
     np.multiply(ensemble.mass[:, None], ensemble.v, out=weights[:, 1:])
-    sums = index.neighborhood_sums(centers, r, weights)
+    sums = SpatialIndex(ensemble.x, r).neighborhood_sums(centers, r, weights)
     return sums[:, 0], sums[:, 1:]
+
+
+def mean_field(ensemble: Ensemble, centers, r, delta=0.0):
+    """The mean velocity field j/(delta + rho) at each centre, (m, d), from
+    the moments over the strict radius-r balls.  delta = 0 gives j/rho
+    where rho > 0 and 0 on empty neighbourhoods."""
+    if delta < 0:
+        raise InvalidInputError("delta must be >= 0")
+    rho, j = moments_at_points(ensemble, centers, r)
+    rho = rho[:, None]
+    if delta > 0:
+        return j / (delta + rho)
+    return np.divide(j, rho, out=np.zeros_like(j), where=rho > 0)
 
 
 def _flow(ens: Ensemble, field, dt):
@@ -300,11 +285,7 @@ def run_self_consistent(ensemble0: Ensemble, T, dt, delta=0.0,
     def step(ens, k):
         if not ens.n:
             return ensemble0.stepped(ensemble0.t + k * dt, ens.x, ens.v)
-        rho, j = moments_at_points(ens, ens.x, r, index=SpatialIndex(ens.x, r))
-        if delta > 0:
-            E = j / (delta + rho)[:, None]
-        else:
-            E = np.divide(j, rho[:, None], out=np.zeros_like(j), where=rho[:, None] > 0)
+        E = mean_field(ens, ens.x, r, delta)
         ens = ensemble0.stepped(ensemble0.t + k * dt, *_flow(ens, E, dt))
         speed = np.sqrt((ens.v ** 2).sum(axis=1))
         if speed.max() > m0 + SUPPORT_SLACK:

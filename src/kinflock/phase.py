@@ -102,14 +102,6 @@ class HeadingState:
 
 
 @dataclass
-class LocalMoments:
-    """Mass rho and momentum j inside a radius-r spatial ball."""
-
-    rho: float
-    j: np.ndarray
-
-
-@dataclass
 class Ensemble:
     """Weighted-particle discretization of a phase-space density.
 

@@ -49,14 +49,22 @@ def initial_spec_from_config(cfg: ScenarioConfig) -> InitialDistributionSpec:
     )
 
 
-def kernel_from_config(cfg: ScenarioConfig) -> InteractionKernel:
-    kc = cfg["kernel"]
-    if kc["kind"] == "indicator":
-        return InteractionKernel("indicator", r=cfg["radius"])
+def agent_rhs(cfg: ScenarioConfig):
+    """The acceleration function state -> (N, d) of the configured
+    cutoff_cs, cs or mt model.  The indicator kernel is the strict cut-off,
+    so cs and mt with it run on neighbourhood sums; the other kernels are
+    smooth."""
+    lam, r, model, kc = cfg["lam"], cfg["radius"], cfg["model"], cfg["kernel"]
+    if model == "cutoff_cs" or kc["kind"] == "indicator":
+        return lambda s: cutoff_cs_rhs(s, lam, r, local=model != "cs")
     if kc["kind"] == "constant":
-        return InteractionKernel("smooth", psi=lambda s: 1.0)
-    scale = kc.get("scale", 1.0)
-    return InteractionKernel("smooth", psi=lambda s: 1.0 / (1.0 + (s / scale) ** 2))
+        kernel = InteractionKernel(lambda s: 1.0)
+    else:
+        scale = kc.get("scale", 1.0)
+        kernel = InteractionKernel(lambda s: 1.0 / (1.0 + (s / scale) ** 2))
+    if model == "cs":
+        return lambda s: cs_rhs(s, lam, kernel)
+    return lambda s: mt_rhs(s, lam, kernel)
 
 
 def oracle_field_from_config(cfg: ScenarioConfig):
@@ -82,7 +90,7 @@ def sample_agents(cfg: ScenarioConfig, rng):
     return AgentState(0.0, cfg["dim"], ens.x, ens.v), spec
 
 
-def _ensemble_record(ens, extra=None):
+def _ensemble_record(ens):
     var, vdiam, xdiam = diag.flocking_metrics(ens)
     rec = {
         "t": ens.t,
@@ -97,8 +105,6 @@ def _ensemble_record(ens, extra=None):
         rec["max_density_bound_ratio"] = float(ens.density_value.max()) / bound
     for p in (1, 2):
         rec[f"lp_norm_p{p}"] = diag.particle_lp_norm(ens, p)
-    if extra:
-        rec.update(extra)
     return rec
 
 
@@ -138,8 +144,6 @@ def run_agents(cfg: ScenarioConfig, out_dir):
     stride = cfg["snapshot_stride"]
 
     if model == "vicsek":
-        if cfg["dim"] != 2:
-            raise ConfigError("vicsek model requires dim = 2")
         if "initial" in cfg.data:
             xb = np.asarray(cfg["initial"]["x_bounds"], float)
         else:
@@ -158,14 +162,7 @@ def run_agents(cfg: ScenarioConfig, out_dir):
         return report
 
     state, _ = sample_agents(cfg, rng)
-    lam, r = cfg["lam"], cfg["radius"]
-    kernel = kernel_from_config(cfg)
-    if model == "cs":
-        rhs = lambda s: cs_rhs(s, lam, kernel)
-    elif model == "mt":
-        rhs = lambda s: mt_rhs(s, lam, kernel)
-    else:
-        rhs = lambda s: cutoff_cs_rhs(s, lam, r)
+    lam, rhs = cfg["lam"], agent_rhs(cfg)
     max_speed0 = float(np.sqrt((state.velocities ** 2).sum(axis=1)).max()) if state.n else 0.0
     snaps, steps = march(state, lambda s, k: integrate_agents(
         s, rhs, cfg["dt"], cfg["integrator"], lam=lam), n_steps, stride)
@@ -278,11 +275,13 @@ _MODES = {
 
 def run(cfg: ScenarioConfig, out_dir):
     """Execute the configured scenario.  Returns the diagnostics report;
-    all output files are written under out_dir."""
+    all output files are written under out_dir, the resolved configuration
+    only once the mode has run, so a configuration error found while
+    running leaves none of them."""
     os.makedirs(out_dir, exist_ok=True)
+    report = _MODES[cfg["mode"]](cfg, out_dir)
     with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
         fh.write(cfg.to_json())
         fh.write("\n")
-    report = _MODES[cfg["mode"]](cfg, out_dir)
     kio.write_report(out_dir, report)
     return report

@@ -211,14 +211,6 @@ class SpatialIndex:
         return total
 
 
-def build_index(positions, cell_size):
-    return SpatialIndex(positions, cell_size)
-
-
-def query_radius(index, center, r):
-    return index.query_radius(center, r)
-
-
 def brute_force_radius(positions, center, r):
     """Reference O(N) scan used by the test oracles."""
     positions = np.asarray(positions, dtype=float)

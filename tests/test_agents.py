@@ -1,14 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kinflock.agents import (InteractionKernel, cs_rhs, cutoff_cs_rhs,
                              integrate_agents, mt_rhs, vicsek_step)
+from kinflock.config import validate_config
 from kinflock.errors import InvalidInputError
 from kinflock.phase import AgentState, HeadingState
+from kinflock.runner import agent_rhs
+from kinflock.spatial import brute_force_radius
 
 
 def make_state(x, v, dim=1):
     return AgentState(0.0, dim, np.asarray(x, float), np.asarray(v, float))
+
+
+def configured_rhs(model, kernel="indicator", r=1.0, lam=1.0, dim=2):
+    """The right-hand side that `kinflock run` uses for an agents config."""
+    return agent_rhs(validate_config({
+        "mode": "agents", "model": model, "dim": dim, "lam": lam, "radius": r,
+        "dt": 0.1, "t_final": 0.1, "kernel": {"kind": kernel},
+        "initial": {"kind": "box_indicator", "x_bounds": [[0.0, 1.0]] * dim,
+                    "v_bounds": [[-1.0, 1.0]] * dim}}))
 
 
 class TestVicsek:
@@ -50,12 +64,12 @@ class TestVicsek:
 
 class TestMeanFieldRhs:
     def test_equal_velocities_no_acceleration(self):
-        kern = InteractionKernel("smooth", psi=lambda s: np.exp(-s))
+        kern = InteractionKernel(lambda s: np.exp(-s))
         state = make_state([[0.0], [1.0], [2.0]], [[0.5], [0.5], [0.5]])
         assert np.allclose(cs_rhs(state, 1.0, kern), 0.0)
 
     def test_two_body_example(self):
-        kern = InteractionKernel("smooth", psi=lambda s: 1.0)
+        kern = InteractionKernel(lambda s: 1.0)
         state = make_state([[0.0], [0.5]], [[0.0], [2.0]])
         acc = cs_rhs(state, 1.0, kern)
         assert np.allclose(acc, [[1.0], [-1.0]], atol=1e-15)
@@ -67,7 +81,7 @@ class TestMeanFieldRhs:
         x = rng.normal(size=(n, 2))
         v = rng.normal(size=(n, 2))
         state = AgentState(0.0, 2, x, v)
-        acc = cs_rhs(state, lam, InteractionKernel("smooth", psi=psi))
+        acc = cs_rhs(state, lam, InteractionKernel(psi))
         # brute-force double loop
         want = np.zeros((n, 2))
         for i in range(n):
@@ -79,14 +93,14 @@ class TestMeanFieldRhs:
     def test_momentum_conserved(self):
         rng = np.random.default_rng(2)
         state = AgentState(0.0, 2, rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
-        acc = cs_rhs(state, 1.3, InteractionKernel("smooth", psi=lambda s: np.exp(-s ** 2)))
+        acc = cs_rhs(state, 1.3, InteractionKernel(lambda s: np.exp(-s ** 2)))
         assert np.allclose(acc.sum(axis=0), 0.0, atol=1e-13)
 
     def test_galilean_and_translation_equivariance(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 2))
         v = rng.normal(size=(5, 2))
-        kern = InteractionKernel("smooth", psi=lambda s: 1.0 / (1.0 + s))
+        kern = InteractionKernel(lambda s: 1.0 / (1.0 + s))
         base = cs_rhs(AgentState(0.0, 2, x, v), 1.0, kern)
         boosted = cs_rhs(AgentState(0.0, 2, x, v + np.array([3.0, -1.0])), 1.0, kern)
         shifted = cs_rhs(AgentState(0.0, 2, x + np.array([5.0, 5.0]), v), 1.0, kern)
@@ -130,19 +144,20 @@ class TestCutoffRhs:
 
 class TestMtRhs:
     def test_constant_kernel_gives_mean_relaxation(self):
-        kern = InteractionKernel("smooth", psi=lambda s: 1.0)
+        kern = InteractionKernel(lambda s: 1.0)
         state = make_state([[0.0], [0.5]], [[0.0], [2.0]])
         acc = mt_rhs(state, 1.0, kern)
         assert np.allclose(acc, [[1.0], [-1.0]], atol=1e-15)
 
     def test_indicator_reduces_to_cutoff_when_all_close(self):
+        # every agent lies in every ball, so the strict cut-off and the
+        # constant kernel weigh the same agents
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 0.1, size=(8, 2))
         v = rng.normal(size=(8, 2))
         state = AgentState(0.0, 2, x, v)
-        kern = InteractionKernel("indicator", r=1.0)
-        assert np.allclose(mt_rhs(state, 1.0, kern),
-                           cutoff_cs_rhs(state, 1.0, r=1.0), atol=1e-14)
+        assert np.allclose(configured_rhs("mt", r=1.0)(state),
+                           mt_rhs(state, 1.0, InteractionKernel(lambda s: 1.0)), atol=1e-14)
 
     def test_separated_clusters_decouple(self):
         rng = np.random.default_rng(7)
@@ -150,15 +165,15 @@ class TestMtRhs:
         xb = rng.uniform(50, 50.1, size=(3, 1))
         va = rng.normal(size=(4, 1))
         vb = rng.normal(size=(3, 1))
-        kern = InteractionKernel("indicator", r=1.0)
-        joint = mt_rhs(AgentState(0.0, 1, np.vstack([xa, xb]), np.vstack([va, vb])), 1.0, kern)
-        only_a = mt_rhs(AgentState(0.0, 1, xa, va), 1.0, kern)
-        only_b = mt_rhs(AgentState(0.0, 1, xb, vb), 1.0, kern)
+        rhs = configured_rhs("mt", r=1.0, dim=1)
+        joint = rhs(AgentState(0.0, 1, np.vstack([xa, xb]), np.vstack([va, vb])))
+        only_a = rhs(AgentState(0.0, 1, xa, va))
+        only_b = rhs(AgentState(0.0, 1, xb, vb))
         assert np.allclose(joint[:4], only_a, atol=1e-14)
         assert np.allclose(joint[4:], only_b, atol=1e-14)
 
     def test_vanishing_kernel_at_zero_rejected(self):
-        kern = InteractionKernel("smooth", psi=lambda s: 0.0)
+        kern = InteractionKernel(lambda s: 0.0)
         state = make_state([[0.0]], [[1.0]])
         with pytest.raises(InvalidInputError):
             mt_rhs(state, 1.0, kern)
@@ -211,12 +226,56 @@ class TestIntegration:
             integrate_agents(state, lambda s: np.zeros((1, 1)), 0.0, "rk4")
 
 
+class TestIndicatorKernel:
+    """cs and mt with the indicator kernel: the strict cut-off, decided by
+    the same test sum((x_j - x)**2) < r*r as every other path."""
+
+    def test_pair_inside_the_ball_only_by_rounding_interacts(self):
+        # |x_1 - x_0| rounds to r = 0.1 under sqrt, but its square is below r*r
+        x = np.array([[0.8574042765875693, 0.033585575305464355],
+                      [0.844656200459909, -0.06559852904116659]])
+        state = AgentState(0.0, 2, x, [[0.0, 0.0], [1.0, 0.0]])
+        assert brute_force_radius(x, x[0], 0.1).tolist() == [0, 1]
+        for model in ("cs", "mt"):
+            acc = configured_rhs(model, r=0.1)(state)
+            assert acc.tolist() == [[0.5, 0.0], [-0.5, 0.0]]
+
+    def test_mt_is_cutoff_cs_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        state = AgentState(0.0, 2, rng.uniform(0, 1, (300, 2)), rng.normal(size=(300, 2)))
+        assert np.array_equal(configured_rhs("mt", r=0.15, lam=0.7)(state),
+                              cutoff_cs_rhs(state, 0.7, 0.15))
+
+    def test_cs_matches_double_loop(self):
+        rng = np.random.default_rng(13)
+        n, lam, r = 150, 1.3, 0.2
+        x = rng.uniform(0, 1, size=(n, 2))
+        v = rng.normal(size=(n, 2))
+        acc = configured_rhs("cs", r=r, lam=lam)(AgentState(0.0, 2, x, v))
+        want = np.zeros((n, 2))
+        for i in range(n):
+            nbr = brute_force_radius(x, x[i], r)
+            want[i] = lam / n * (v[nbr] - v[i]).sum(axis=0)
+        assert np.allclose(acc, want, atol=1e-15)
+
+    def test_cs_memory_does_not_grow_with_n_squared(self):
+        # dense (N, N, d) temporaries would take over 400 MB here
+        rng = np.random.default_rng(14)
+        state = AgentState(0.0, 2, rng.uniform(0, 1, (3000, 2)), rng.normal(size=(3000, 2)))
+        rhs = configured_rhs("cs", r=0.05)
+        tracemalloc.start()
+        try:
+            rhs(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+
 def test_kernel_validation():
     with pytest.raises(InvalidInputError):
-        InteractionKernel("indicator", r=0.0)
+        InteractionKernel(lambda s: s)  # increasing
     with pytest.raises(InvalidInputError):
-        InteractionKernel("smooth", psi=lambda s: s)  # increasing
-    with pytest.raises(InvalidInputError):
-        InteractionKernel("smooth", psi=lambda s: -1.0)
-    kern = InteractionKernel("indicator", r=0.5)
-    assert kern(0.4) == 1.0 and kern(0.5) == 0.0
+        InteractionKernel(lambda s: -1.0)
+    kern = InteractionKernel(lambda s: 1.0)
+    assert kern(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]

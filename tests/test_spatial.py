@@ -7,53 +7,53 @@ from hypothesis import given, settings, strategies as st
 
 from kinflock import spatial
 from kinflock.errors import InvalidInputError
-from kinflock.spatial import SpatialIndex, brute_force_radius, build_index, query_radius
+from kinflock.spatial import SpatialIndex, brute_force_radius
 
 
 def test_1d_construction_two_occupied_cells():
-    idx = build_index(np.array([0.0, 0.5, 2.0]), cell_size=1.0)
+    idx = SpatialIndex(np.array([0.0, 0.5, 2.0]), cell_size=1.0)
     assert idx.n_occupied_cells == 2
 
 
 def test_empty_index_queries_empty():
-    idx = build_index(np.zeros((0, 2)), cell_size=1.0)
-    assert len(query_radius(idx, [0.0, 0.0], 5.0)) == 0
+    idx = SpatialIndex(np.zeros((0, 2)), cell_size=1.0)
+    assert len(idx.query_radius([0.0, 0.0], 5.0)) == 0
 
 
 def test_basic_1d_query():
-    idx = build_index(np.array([0.0, 0.5, 2.0]), cell_size=1.0)
-    hit = query_radius(idx, [0.0], 1.0)
+    idx = SpatialIndex(np.array([0.0, 0.5, 2.0]), cell_size=1.0)
+    hit = idx.query_radius([0.0], 1.0)
     assert hit.tolist() == [0, 1]
 
 
 def test_boundary_point_excluded():
     # strict inequality: a point at distance exactly r is not a neighbor
-    idx = build_index(np.array([0.0, 1.0]), cell_size=1.0)
-    hit = query_radius(idx, [0.0], 1.0)
+    idx = SpatialIndex(np.array([0.0, 1.0]), cell_size=1.0)
+    hit = idx.query_radius([0.0], 1.0)
     assert hit.tolist() == [0]
 
 
 def test_far_center_empty():
-    idx = build_index(np.array([0.0, 0.5]), cell_size=1.0)
-    assert len(query_radius(idx, [100.0], 1.0)) == 0
+    idx = SpatialIndex(np.array([0.0, 0.5]), cell_size=1.0)
+    assert len(idx.query_radius([100.0], 1.0)) == 0
 
 
 def test_self_always_included():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 1, size=(50, 2))
-    idx = build_index(pts, cell_size=0.1)
+    idx = SpatialIndex(pts, cell_size=0.1)
     for i in range(50):
-        assert i in query_radius(idx, pts[i], 0.1)
+        assert i in idx.query_radius(pts[i], 0.1)
 
 
 def test_rejects_bad_input():
     with pytest.raises(InvalidInputError):
-        build_index(np.array([[0.0, np.nan]]), cell_size=1.0)
+        SpatialIndex(np.array([[0.0, np.nan]]), cell_size=1.0)
     with pytest.raises(InvalidInputError):
-        build_index(np.zeros((3, 2)), cell_size=0.0)
-    idx = build_index(np.zeros((3, 2)), cell_size=1.0)
+        SpatialIndex(np.zeros((3, 2)), cell_size=0.0)
+    idx = SpatialIndex(np.zeros((3, 2)), cell_size=1.0)
     with pytest.raises(InvalidInputError):
-        query_radius(idx, [0.0, 0.0], -1.0)
+        idx.query_radius([0.0, 0.0], -1.0)
     with pytest.raises(InvalidInputError):
         idx.neighborhood_sums(np.zeros((1, 2)), -1.0, np.ones(3))
     with pytest.raises(InvalidInputError):
@@ -61,7 +61,7 @@ def test_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         idx.neighborhood_sums(np.zeros((1, 2)), 1.0, np.ones(4))
     for dim in (1, 2):
-        idx = build_index(np.zeros((3, dim)), cell_size=1.0)
+        idx = SpatialIndex(np.zeros((3, dim)), cell_size=1.0)
         with pytest.raises(InvalidInputError):
             idx.neighborhood_sums(np.zeros((1, dim)), 1.0, [1.0, np.inf, 1.0])
         with pytest.raises(InvalidInputError):
@@ -71,11 +71,11 @@ def test_rejects_bad_input():
 def test_matches_brute_force_large_2d():
     rng = np.random.default_rng(42)
     pts = rng.uniform(0, 1, size=(10_000, 2))
-    idx = build_index(pts, cell_size=0.05)
+    idx = SpatialIndex(pts, cell_size=0.05)
     for _ in range(100):
         center = rng.uniform(0, 1, size=2)
         r = rng.uniform(0.01, 0.3)
-        got = query_radius(idx, center, r)
+        got = idx.query_radius(center, r)
         want = brute_force_radius(pts, center, r)
         assert np.array_equal(got, want)
 
@@ -84,8 +84,8 @@ def test_insertion_order_invariance():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, size=(200, 2))
     perm = rng.permutation(200)
-    idx_a = build_index(pts, cell_size=0.2)
-    idx_b = build_index(pts[perm], cell_size=0.2)
+    idx_a = SpatialIndex(pts, cell_size=0.2)
+    idx_b = SpatialIndex(pts[perm], cell_size=0.2)
     center = np.array([0.1, -0.2])
     got_a = set(idx_a.query_radius(center, 0.2).tolist())
     got_b = {perm[i] for i in idx_b.query_radius(center, 0.2)}
@@ -101,8 +101,8 @@ def test_insertion_order_invariance():
 )
 def test_property_matches_brute_force(pts, center, r, cell):
     arr = np.array(pts, dtype=float).reshape(-1, 2)
-    idx = build_index(arr, cell_size=cell)
-    got = query_radius(idx, np.array(center), r)
+    idx = SpatialIndex(arr, cell_size=cell)
+    got = idx.query_radius(np.array(center), r)
     want = brute_force_radius(arr, np.array(center), r)
     assert np.array_equal(got, want)
     assert idx.neighborhood_sums(np.array(center), r, np.ones(len(arr)))[0, 0] == len(want)
@@ -191,7 +191,7 @@ def correctly_rounded(values):
 
 def test_neighborhood_sums_equal_numpy_sums_of_neighbour_lists(monkeypatch):
     # each column is the exact sum over the neighbour list rounded once, so
-    # sums agree bit for bit with math.fsum of weights[query_radius(c, r), col]
+    # sums agree bit for bit with math.fsum of weights[idx.query_radius(c, r), col]
     # (a zero sum, even of -0.0 weights, is +0.0)
     for pair_block in (spatial.PAIR_BLOCK, 7):
         monkeypatch.setattr(spatial, "PAIR_BLOCK", pair_block)
@@ -204,7 +204,7 @@ def test_neighborhood_sums_equal_numpy_sums_of_neighbour_lists(monkeypatch):
                 idx = SpatialIndex(pts, cell)
                 got = idx.neighborhood_sums(centers, r, weights)
                 for c, row in zip(centers, got):
-                    nbr = query_radius(idx, c, r)
+                    nbr = idx.query_radius(c, r)
                     want = np.array([correctly_rounded(weights[nbr, col]) for col in range(k)])
                     assert row.tobytes() == want.tobytes()
 
@@ -252,7 +252,7 @@ def test_neighborhood_sums_round_adversarial_columns_exactly(dim):
     with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, as for its own sums
         got = idx.neighborhood_sums(centers, 0.25, weights)
     for c, row in zip(centers, got):
-        nbr = query_radius(idx, c, 0.25)
+        nbr = idx.query_radius(c, 0.25)
         want = np.array([correctly_rounded(weights[nbr, col]) for col in range(weights.shape[1])])
         assert row.tobytes() == want.tobytes()
     assert np.all(got[:, 2] == 0.0) and not np.signbit(got[:, 2]).any()
