@@ -1,48 +1,20 @@
-"""Discrete agent models: heading alignment, mean-field velocity alignment,
-its cut-off variant, and the locally-normalized variant.
+"""Discrete agent models: heading alignment (Vicsek) and velocity
+alignment with the strict cut-off interaction |x_j - x_i| < r.
 
-All right-hand sides are pure functions of the state.  The cut-off model
-normalizes by the neighbor count N_i (which always includes i itself, so it
-never divides by zero); the locally-normalized model divides by the summed
-kernel weights.
+All right-hand sides are pure functions of the state and run on
+correctly rounded neighbourhood sums.  The `cs` model normalizes by the
+number of agents N, the locally normalized `mt` and `cutoff_cs` models by
+the neighbor count N_i, which always includes i itself, so it never
+divides by zero.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import IntegrationBlowupError, InvalidInputError
 from .phase import AgentState, HeadingState, wrap_angle
 from .spatial import SpatialIndex
-
-
-@dataclass
-class InteractionKernel:
-    """Smooth pair interaction weight psi(s) >= 0, non-increasing: an
-    elementwise callable on arrays (a constant such as `lambda s: 1.0` is
-    broadcast), validated on a sample of radii.  The strict cut-off
-    psi(s) = [s < r] is not a kernel here: it runs on neighbourhood sums
-    (`cutoff_cs_rhs`).
-    """
-
-    psi: Callable
-
-    def __post_init__(self):
-        vals = self(np.linspace(0.0, 10.0, 64))
-        if np.any(vals < 0):
-            raise InvalidInputError("kernel must be non-negative")
-        if np.any(np.diff(vals) > 1e-12):
-            raise InvalidInputError("kernel must be non-increasing")
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.broadcast_to(np.asarray(self.psi(s), dtype=float), s.shape)
-
-    def at_zero(self):
-        return float(self(0.0))
 
 
 def vicsek_step(state: HeadingState, r, noise_amplitude, rng):
@@ -74,18 +46,6 @@ def vicsek_step(state: HeadingState, r, noise_amplitude, rng):
     return HeadingState(state.t + 1, new_pos, wrap_angle(new_head), state.speed)
 
 
-def cs_rhs(state: AgentState, lam, kernel: InteractionKernel):
-    """Accelerations a_i = (lam/N) sum_j psi(|x_j - x_i|) (v_j - v_i)."""
-    n = state.n
-    if n == 0:
-        return np.zeros((0, state.dim))
-    diff = state.positions[None, :, :] - state.positions[:, None, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    w = kernel(dist)
-    dv = state.velocities[None, :, :] - state.velocities[:, None, :]
-    return (lam / n) * np.einsum("ij,ijk->ik", w, dv)
-
-
 def cutoff_cs_rhs(state: AgentState, lam, r, local=True):
     """Accelerations a_i = (lam/N_i) sum_{|x_j-x_i|<r} (v_j - v_i), where
     N_i counts the strict-radius neighborhood including i itself: the mean
@@ -101,24 +61,6 @@ def cutoff_cs_rhs(state: AgentState, lam, r, local=True):
     if local:
         return lam * (sums[:, 1:] / sums[:, :1] - v)
     return lam / max(state.n, 1) * (sums[:, 1:] - sums[:, :1] * v)
-
-
-def mt_rhs(state: AgentState, lam, kernel: InteractionKernel):
-    """Accelerations a_i = lam * (sum_j psi_ij v_j / sum_j psi_ij - v_i).
-
-    Requires psi(0) > 0 so the denominator never vanishes.
-    """
-    if kernel.at_zero() <= 0:
-        raise InvalidInputError("kernel must satisfy psi(0) > 0")
-    n = state.n
-    if n == 0:
-        return np.zeros((0, state.dim))
-    diff = state.positions[None, :, :] - state.positions[:, None, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    w = kernel(dist)
-    denom = w.sum(axis=1)
-    mean_v = (w @ state.velocities) / denom[:, None]
-    return lam * (mean_v - state.velocities)
 
 
 def integrate_agents(state: AgentState, rhs, dt, scheme="rk4", lam=None):

@@ -196,6 +196,13 @@ def _labels(values):
     return out.view(f"S{out.shape[1]}").reshape(-1)
 
 
+def create(path, mode="w"):
+    """Open `path` for writing, making its directory first: an output
+    directory appears only with its first file."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+
+
 def _write_csv(path, header, blocks):
     """Write `header` and then each block `(n_rows, columns)`.  A column is
     one str shared by every row, a sequence of n_rows str, a numpy bytes
@@ -203,7 +210,7 @@ def _write_csv(path, header, blocks):
     `fmt`.  Each slice of at most ROWS_PER_WRITE rows becomes one
     NUL-padded byte matrix and one fh.write, so memory does not grow with
     the block.  Cells hold no NUL character."""
-    with open(path, "wb") as fh:
+    with create(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for n, columns in blocks:
             for a in range(0, n, ROWS_PER_WRITE):
@@ -338,7 +345,7 @@ def _jsonify(obj):
 def write_report(out_dir, report):
     """diagnostics.json plus a flat diagnostics.csv of the time series."""
     doc = _jsonify(report.to_dict())
-    with open(os.path.join(out_dir, "diagnostics.json"), "w", encoding="utf-8") as fh:
+    with create(os.path.join(out_dir, "diagnostics.json")) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     records = report.records

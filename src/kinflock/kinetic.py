@@ -130,8 +130,9 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
     elif mode == "monte_carlo":
         _, n_particles, seed = spec.sampling
         rng = np.random.default_rng(seed) if rng is None else rng
-        # f0 peaks at the amplitude, or below twice it where two bumps overlap
-        sup = 2 * spec.amplitude if spec.kind == "two_bump" else spec.amplitude
+        # f0 peaks at the amplitude, or below n times it where n bumps overlap
+        n_bumps = len(np.reshape(spec.x_centers, (-1, d))) if spec.kind == "two_bump" else 1
+        sup = n_bumps * spec.amplitude
         total = _total_mass(spec)
         if total == 0.0 or n_particles == 0:
             xx = np.zeros((0, d)); vv = np.zeros((0, d))

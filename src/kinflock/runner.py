@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import io as kio
-from .agents import InteractionKernel, cs_rhs, cutoff_cs_rhs, integrate_agents, mt_rhs, vicsek_step
+from .agents import cutoff_cs_rhs, integrate_agents, vicsek_step
 from .config import ScenarioConfig
 from .errors import ConfigError
 from .fixed_point import lipschitz_modulus, picard_solve
@@ -50,21 +50,11 @@ def initial_spec_from_config(cfg: ScenarioConfig) -> InitialDistributionSpec:
 
 
 def agent_rhs(cfg: ScenarioConfig):
-    """The acceleration function state -> (N, d) of the configured
-    cutoff_cs, cs or mt model.  The indicator kernel is the strict cut-off,
-    so cs and mt with it run on neighbourhood sums; the other kernels are
-    smooth."""
-    lam, r, model, kc = cfg["lam"], cfg["radius"], cfg["model"], cfg["kernel"]
-    if model == "cutoff_cs" or kc["kind"] == "indicator":
-        return lambda s: cutoff_cs_rhs(s, lam, r, local=model != "cs")
-    if kc["kind"] == "constant":
-        kernel = InteractionKernel(lambda s: 1.0)
-    else:
-        scale = kc.get("scale", 1.0)
-        kernel = InteractionKernel(lambda s: 1.0 / (1.0 + (s / scale) ** 2))
-    if model == "cs":
-        return lambda s: cs_rhs(s, lam, kernel)
-    return lambda s: mt_rhs(s, lam, kernel)
+    """The acceleration function state -> (N, d) of the configured model,
+    all with the strict cut-off: cs normalizes by the number of agents,
+    cutoff_cs and mt by the neighbour count."""
+    lam, r, model = cfg["lam"], cfg["radius"], cfg["model"]
+    return lambda s: cutoff_cs_rhs(s, lam, r, local=model != "cs")
 
 
 def oracle_field_from_config(cfg: ScenarioConfig):
@@ -274,13 +264,12 @@ _MODES = {
 
 
 def run(cfg: ScenarioConfig, out_dir):
-    """Execute the configured scenario.  Returns the diagnostics report;
-    all output files are written under out_dir, the resolved configuration
-    only once the mode has run, so a configuration error found while
-    running leaves none of them."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Execute the configured scenario.  Returns the diagnostics report.
+    Every output file is written under out_dir once the mode has computed
+    its result, and out_dir is created with the first of them, so an error
+    found while running leaves no out_dir."""
     report = _MODES[cfg["mode"]](cfg, out_dir)
-    with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
+    with kio.create(os.path.join(out_dir, "resolved_config.json")) as fh:
         fh.write(cfg.to_json())
         fh.write("\n")
     kio.write_report(out_dir, report)

@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kinflock.agents import (InteractionKernel, cs_rhs, cutoff_cs_rhs,
-                             integrate_agents, mt_rhs, vicsek_step)
+from kinflock.agents import cutoff_cs_rhs, integrate_agents, vicsek_step
 from kinflock.config import validate_config
 from kinflock.errors import InvalidInputError
 from kinflock.phase import AgentState, HeadingState
@@ -16,11 +15,11 @@ def make_state(x, v, dim=1):
     return AgentState(0.0, dim, np.asarray(x, float), np.asarray(v, float))
 
 
-def configured_rhs(model, kernel="indicator", r=1.0, lam=1.0, dim=2):
+def configured_rhs(model, r=1.0, lam=1.0, dim=2):
     """The right-hand side that `kinflock run` uses for an agents config."""
     return agent_rhs(validate_config({
         "mode": "agents", "model": model, "dim": dim, "lam": lam, "radius": r,
-        "dt": 0.1, "t_final": 0.1, "kernel": {"kind": kernel},
+        "dt": 0.1, "t_final": 0.1,
         "initial": {"kind": "box_indicator", "x_bounds": [[0.0, 1.0]] * dim,
                     "v_bounds": [[-1.0, 1.0]] * dim}}))
 
@@ -63,49 +62,54 @@ class TestVicsek:
 
 
 class TestMeanFieldRhs:
+    """The cs model: the strict cut-off normalized by the number of agents
+    (local=False)."""
+
     def test_equal_velocities_no_acceleration(self):
-        kern = InteractionKernel(lambda s: np.exp(-s))
         state = make_state([[0.0], [1.0], [2.0]], [[0.5], [0.5], [0.5]])
-        assert np.allclose(cs_rhs(state, 1.0, kern), 0.0)
+        assert np.all(cutoff_cs_rhs(state, 1.0, r=1.5, local=False) == 0.0)
 
     def test_two_body_example(self):
-        kern = InteractionKernel(lambda s: 1.0)
         state = make_state([[0.0], [0.5]], [[0.0], [2.0]])
-        acc = cs_rhs(state, 1.0, kern)
+        acc = configured_rhs("cs", r=1.0, dim=1)(state)
         assert np.allclose(acc, [[1.0], [-1.0]], atol=1e-15)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)
-        n, lam = 3, 0.8
-        psi = lambda s: 1.0 / (1.0 + s ** 2)
+        n, lam, r = 7, 0.8, 1.0
         x = rng.normal(size=(n, 2))
         v = rng.normal(size=(n, 2))
-        state = AgentState(0.0, 2, x, v)
-        acc = cs_rhs(state, lam, InteractionKernel(psi))
-        # brute-force double loop
+        acc = cutoff_cs_rhs(AgentState(0.0, 2, x, v), lam, r, local=False)
+        # brute-force double loop over the pairs strictly inside the radius
         want = np.zeros((n, 2))
         for i in range(n):
             for j in range(n):
-                want[i] += psi(np.linalg.norm(x[j] - x[i])) * (v[j] - v[i])
+                if ((x[j] - x[i]) ** 2).sum() < r * r:
+                    want[i] += v[j] - v[i]
         want *= lam / n
+        pairs = sum(len(brute_force_radius(x, c, r)) - 1 for c in x)
+        assert 0 < pairs < n * (n - 1)  # some pairs interact, some do not
         assert np.allclose(acc, want, atol=1e-14)
 
     def test_momentum_conserved(self):
+        # the neighbour relation is symmetric, so the pair terms cancel
         rng = np.random.default_rng(2)
-        state = AgentState(0.0, 2, rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
-        acc = cs_rhs(state, 1.3, InteractionKernel(lambda s: np.exp(-s ** 2)))
-        assert np.allclose(acc.sum(axis=0), 0.0, atol=1e-13)
+        state = AgentState(0.0, 2, rng.normal(size=(60, 2)), rng.normal(size=(60, 2)))
+        acc = cutoff_cs_rhs(state, 1.3, 0.5, local=False)
+        assert np.any(acc != 0.0)
+        assert np.all(np.abs(acc.sum(axis=0)) <= 1e-13)
 
     def test_galilean_and_translation_equivariance(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 2))
-        v = rng.normal(size=(5, 2))
-        kern = InteractionKernel(lambda s: 1.0 / (1.0 + s))
-        base = cs_rhs(AgentState(0.0, 2, x, v), 1.0, kern)
-        boosted = cs_rhs(AgentState(0.0, 2, x, v + np.array([3.0, -1.0])), 1.0, kern)
-        shifted = cs_rhs(AgentState(0.0, 2, x + np.array([5.0, 5.0]), v), 1.0, kern)
+        x = rng.uniform(0, 1, size=(20, 2))
+        v = rng.normal(size=(20, 2))
+        base = cutoff_cs_rhs(AgentState(0.0, 2, x, v), 1.0, 0.3, local=False)
+        boosted = cutoff_cs_rhs(AgentState(0.0, 2, x, v + np.array([3.0, -1.0])),
+                                1.0, 0.3, local=False)
+        shifted = cutoff_cs_rhs(AgentState(0.0, 2, x + np.array([5.0, 5.0]), v),
+                                1.0, 0.3, local=False)
         assert np.allclose(base, boosted, atol=1e-13)
-        assert np.allclose(base, shifted, atol=1e-13)
+        assert np.allclose(base, shifted, atol=1e-12)
 
 
 class TestCutoffRhs:
@@ -143,21 +147,20 @@ class TestCutoffRhs:
 
 
 class TestMtRhs:
-    def test_constant_kernel_gives_mean_relaxation(self):
-        kern = InteractionKernel(lambda s: 1.0)
+    def test_pair_in_one_ball_relaxes_to_its_mean(self):
         state = make_state([[0.0], [0.5]], [[0.0], [2.0]])
-        acc = mt_rhs(state, 1.0, kern)
+        acc = configured_rhs("mt", r=1.0, dim=1)(state)
         assert np.allclose(acc, [[1.0], [-1.0]], atol=1e-15)
 
     def test_indicator_reduces_to_cutoff_when_all_close(self):
-        # every agent lies in every ball, so the strict cut-off and the
-        # constant kernel weigh the same agents
+        # every agent lies in every ball, so each agent relaxes towards the
+        # mean velocity of all of them
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 0.1, size=(8, 2))
         v = rng.normal(size=(8, 2))
         state = AgentState(0.0, 2, x, v)
-        assert np.allclose(configured_rhs("mt", r=1.0)(state),
-                           mt_rhs(state, 1.0, InteractionKernel(lambda s: 1.0)), atol=1e-14)
+        assert np.allclose(configured_rhs("mt", r=1.0)(state), v.mean(axis=0) - v,
+                           atol=1e-14)
 
     def test_separated_clusters_decouple(self):
         rng = np.random.default_rng(7)
@@ -171,12 +174,6 @@ class TestMtRhs:
         only_b = rhs(AgentState(0.0, 1, xb, vb))
         assert np.allclose(joint[:4], only_a, atol=1e-14)
         assert np.allclose(joint[4:], only_b, atol=1e-14)
-
-    def test_vanishing_kernel_at_zero_rejected(self):
-        kern = InteractionKernel(lambda s: 0.0)
-        state = make_state([[0.0]], [[1.0]])
-        with pytest.raises(InvalidInputError):
-            mt_rhs(state, 1.0, kern)
 
 
 class TestIntegration:
@@ -227,8 +224,9 @@ class TestIntegration:
 
 
 class TestIndicatorKernel:
-    """cs and mt with the indicator kernel: the strict cut-off, decided by
-    the same test sum((x_j - x)**2) < r*r as every other path."""
+    """cs and mt as configured, with the one kernel `indicator`: the strict
+    cut-off, decided by the same test sum((x_j - x)**2) < r*r as every
+    other path."""
 
     def test_pair_inside_the_ball_only_by_rounding_interacts(self):
         # |x_1 - x_0| rounds to r = 0.1 under sqrt, but its square is below r*r
@@ -271,11 +269,3 @@ class TestIndicatorKernel:
             tracemalloc.stop()
         assert peak < 20e6
 
-
-def test_kernel_validation():
-    with pytest.raises(InvalidInputError):
-        InteractionKernel(lambda s: s)  # increasing
-    with pytest.raises(InvalidInputError):
-        InteractionKernel(lambda s: -1.0)
-    kern = InteractionKernel(lambda s: 1.0)
-    assert kern(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]

@@ -49,16 +49,20 @@ def oracle_l2(field):
     return data
 
 
+# The agent kernels the schema accepted before the strict cut-off became
+# the only interaction; each now exits 2.
+REMOVED_KERNELS = [{"kind": "constant"}, {"kind": "inverse_quadratic", "scale": 0.5}]
+
 # Schema-reachable paths that no shipped scenario runs, with the exit code
 # each gives today.  Two oracle runs exit 1: on the default 128 x 128 mesh
 # the semi-Lagrangian grid loses more mass than the 1e-3 quadrature floor
 # allows (mass_conservation 9.9e-3 under the tanh field at t = 0.5, 7.4e-3
 # for the built-in f0 at t = 1), and lp_law_p1 fails with it.
 UNSHIPPED_PATHS = [
-    pytest.param(small_agents(model, kernel), "agents.csv", 0, id=f"{model}-{kernel['kind']}")
+    pytest.param(small_agents(model, kernel), "agents.csv", 2 if kernel in REMOVED_KERNELS else 0,
+                 id=f"{model}-{kernel['kind']}")
     for model in ("cs", "mt")
-    for kernel in ({"kind": "indicator"}, {"kind": "constant"},
-                   {"kind": "inverse_quadratic", "scale": 0.5})
+    for kernel in [{"kind": "indicator"}, *REMOVED_KERNELS]
 ] + [
     pytest.param(oracle_l2({"kind": "constant", "value": 0.5}), "grid.csv", 0,
                  id="oracle-constant-field"),
@@ -200,9 +204,11 @@ class TestCli:
         cfg.write_text(json.dumps(minimal_kinetic()))
         blocker = tmp_path / "file"
         blocker.write_text("")
-        assert main(["run", "--config", str(cfg), "--out", str(blocker / "out")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("output error: ") and err.count("\n") == 1
+        for out in (blocker / "out", blocker):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("output error: ") and err.count("\n") == 1
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("key,value,extra", [
         ("dim", 1.0, {}),
@@ -273,10 +279,24 @@ class TestCli:
         change(data)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
-        out = tmp_path / "out"
+        out = tmp_path / "out" / "run1"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
-        assert not (out / "resolved_config.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kernel", REMOVED_KERNELS, ids=lambda k: k["kind"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_removed_kernels_exit_2(self, tmp_path, capsys, kernel, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_agents("cs", kernel)))
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"configuration error: config key kernel/kind: "
+                                f"'{kernel['kind']}' is not one of ['indicator']\n")
+        assert not out.exists()
 
     def test_validate_rejects_vicsek_outside_2d(self, tmp_path, capsys):
         data = json.loads(Path(scenario_path("vicsek_basic.json")).read_text())
@@ -292,6 +312,9 @@ class TestCli:
         cfg.write_text(json.dumps(data))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        if code == 2:
+            assert not out.exists()
+            return
         assert sorted(p.name for p in out.iterdir()) == sorted(
             ["resolved_config.json", "diagnostics.json", "diagnostics.csv", snapshots])
         if data.get("model") == "vicsek":
