@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import IntegrationBlowupError, InvalidInputError
 from .phase import AgentState, HeadingState, wrap_angle
-from .spatial import SpatialIndex
+from .spatial import neighborhood_sums
 
 
 def vicsek_step(state: HeadingState, r, noise_amplitude, rng):
@@ -34,9 +34,8 @@ def vicsek_step(state: HeadingState, r, noise_amplitude, rng):
     )
     new_head = state.headings.copy()
     if n:
-        index = SpatialIndex(state.positions, r)
-        count, sc, ss = index.neighborhood_sums(
-            state.positions, r,
+        count, sc, ss = neighborhood_sums(
+            state.positions, state.positions, r,
             np.column_stack([np.ones(n), np.cos(state.headings), np.sin(state.headings)])).T
         # a numerically undefined mean direction keeps the heading
         defined = sc * sc + ss * ss > (count * 1e-14) ** 2
@@ -56,8 +55,8 @@ def cutoff_cs_rhs(state: AgentState, lam, r, local=True):
     if not (r > 0):
         raise InvalidInputError("r must be positive")
     v = state.velocities
-    sums = SpatialIndex(state.positions, r).neighborhood_sums(
-        state.positions, r, np.column_stack([np.ones(state.n), v]))
+    sums = neighborhood_sums(state.positions, state.positions, r,
+                             np.column_stack([np.ones(state.n), v]))
     if local:
         return lam * (sums[:, 1:] / sums[:, :1] - v)
     return lam / max(state.n, 1) * (sums[:, 1:] - sums[:, :1] * v)

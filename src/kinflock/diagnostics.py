@@ -159,7 +159,13 @@ def particle_lp_norm(ensemble: Ensemble, p):
     (sum vol_i * f_i^p)^{1/p}."""
     if ensemble.n == 0:
         return 0.0
-    return float((ensemble.phase_volume * ensemble.density_value ** p).sum() ** (1.0 / p))
+    vol, f = ensemble.phase_volume, ensemble.density_value
+    with np.errstate(over="ignore"):
+        norm = float((vol * f ** p).sum() ** (1.0 / p))
+    if norm == np.inf:  # f**p overflows long before the norm: scale by max f
+        top = f.max()
+        norm = float(top * (vol * (f / top) ** p).sum() ** (1.0 / p))
+    return norm
 
 
 def check_particle_lp_inequality(trajectory, p_list, slack=1e-9):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
 from .phase import Ensemble, march
-from .spatial import SpatialIndex
+from .spatial import neighborhood_sums
 
 SUPPORT_SLACK = 1e-9
 
@@ -199,7 +199,7 @@ def moments_at_points(ensemble: Ensemble, centers, r):
     weights = np.empty((ensemble.n, 1 + ensemble.dim))
     weights[:, 0] = ensemble.mass
     np.multiply(ensemble.mass[:, None], ensemble.v, out=weights[:, 1:])
-    sums = SpatialIndex(ensemble.x, r).neighborhood_sums(centers, r, weights)
+    sums = neighborhood_sums(ensemble.x, centers, r, weights)
     return sums[:, 0], sums[:, 1:]
 
 

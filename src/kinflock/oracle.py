@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ResolutionError
 from .phase import march
-from .spatial import SpatialIndex
+from .spatial import neighborhood_sums
 
 
 @dataclass
@@ -156,8 +156,7 @@ def oracle_moments(grid: PhaseGrid, centers, r):
     centers = np.asarray(centers, dtype=float).reshape(-1)
     rho_x = grid.values.sum(axis=1) * grid.dv  # spatial density per x cell
     j_x = (grid.values * grid.v_nodes[None, :]).sum(axis=1) * grid.dv
-    sums = SpatialIndex(grid.x_nodes, r).neighborhood_sums(
-        centers, r, np.column_stack([rho_x, j_x]))
+    sums = neighborhood_sums(grid.x_nodes, centers, r, np.column_stack([rho_x, j_x]))
     return sums[:, 0] * grid.dx, sums[:, 1] * grid.dx
 
 

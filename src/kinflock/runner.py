@@ -9,6 +9,7 @@ exit codes by the CLI.
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 
@@ -267,7 +268,14 @@ def run(cfg: ScenarioConfig, out_dir):
     """Execute the configured scenario.  Returns the diagnostics report.
     Every output file is written under out_dir once the mode has computed
     its result, and out_dir is created with the first of them, so an error
-    found while running leaves no out_dir."""
+    found while running leaves no out_dir.  An out_dir that cannot become a
+    directory, because it or its nearest existing ancestor is not one, is
+    an OSError before the mode runs."""
+    existing = os.path.abspath(out_dir)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), existing)
     report = _MODES[cfg["mode"]](cfg, out_dir)
     with kio.create(os.path.join(out_dir, "resolved_config.json")) as fh:
         fh.write(cfg.to_json())

@@ -1,11 +1,12 @@
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kinflock import cli
+from kinflock import cli, runner
 from kinflock.cli import main
 from kinflock.config import load_config, validate_config
 from kinflock.errors import ConfigError
@@ -199,16 +200,37 @@ class TestCli:
         cfg.write_text(json.dumps(minimal_kinetic(t_final=0.3, dt=0.1)))
         assert main(["validate", "--config", str(cfg)]) == 0
 
-    def test_run_with_unwritable_out_exit_3(self, tmp_path, capsys):
+    def test_run_with_unwritable_out_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the output path is checked before the mode runs, and nothing is made
+        def mode_entered(cfg, out):
+            raise AssertionError("the mode ran")
+
+        monkeypatch.setitem(runner._MODES, "kinetic", mode_entered)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(minimal_kinetic()))
         blocker = tmp_path / "file"
         blocker.write_text("")
-        for out in (blocker / "out", blocker):
+        for out in (blocker / "out", blocker, blocker / "a" / "b"):
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
             err = capsys.readouterr().err
             assert err.startswith("output error: ") and err.count("\n") == 1
         assert blocker.read_text() == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
+
+    @pytest.mark.parametrize("t_final", [200.0, 700.0])
+    def test_long_run_lp_norms_stay_finite(self, tmp_path, capsys, t_final):
+        # density**p overflows from lam*d*t ~ 709/p on, the L^p norms do not
+        data = json.loads(Path(scenario_path("two_particle_symmetric.json")).read_text())
+        data.update(dt=1.0, t_final=t_final)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        report = json.loads((out / "diagnostics.json").read_text())
+        norms = [v for rec in report["records"] for k, v in rec.items()
+                 if k.startswith("lp_norm_p")]
+        assert norms and all(math.isfinite(v) for v in norms)
 
     @pytest.mark.parametrize("key,value,extra", [
         ("dim", 1.0, {}),

@@ -125,6 +125,15 @@ class TestParticleLp:
         assert particle_lp_norm(ens, 1) == pytest.approx(1.0)
         assert particle_lp_norm(ens, 2) == pytest.approx(np.sqrt(2.0))
 
+    def test_norm_is_finite_where_f_to_the_p_overflows(self):
+        # f = 2**300 on two cells of volume 2**-300: f**4 overflows, the
+        # norm (2 * 2**-300 * 2**1200)**(1/4) = 2**225.25 does not
+        ens = Ensemble(0.0, 1, 1.0, 1.0, np.zeros((2, 1)), np.zeros((2, 1)),
+                       np.ones(2), np.full(2, 2.0 ** 300), np.full(2, 2.0 ** -300),
+                       initial_support_bound=1.0)
+        assert particle_lp_norm(ens, 2) == pytest.approx(2.0 ** 150.5, rel=1e-15)
+        assert particle_lp_norm(ens, 4) == pytest.approx(2.0 ** 225.25, rel=1e-15)
+
     def test_linear_trajectory_saturates_equality(self):
         ens = make_ensemble(n=30, seed=2)
         res = run_linear(ens, lambda t, X: np.zeros_like(X), T=1.0, dt=0.1)

@@ -204,10 +204,11 @@ def test_integers_are_ints_and_numbers_are_finite(data, key):
         check_schema(data, schema)
 
 
-def test_importing_the_cli_loads_no_jsonschema():
+def test_importing_the_cli_loads_neither_scipy_nor_jsonschema():
+    # jsonschema is a test-only dependency, and no run needs scipy
     src = str(Path(kinflock.__file__).resolve().parents[1])
-    code = ("import sys, kinflock.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in {'jsonschema', 'referencing', 'rpds', 'attrs'}))")
+    code = ("import sys, kinflock.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in {'scipy', 'jsonschema', 'referencing', 'rpds', 'attrs'}))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
