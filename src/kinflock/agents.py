@@ -5,7 +5,8 @@ All right-hand sides are pure functions of the state and run on
 correctly rounded neighbourhood sums.  The `cs` model normalizes by the
 number of agents N, the locally normalized `mt` and `cutoff_cs` models by
 the neighbor count N_i, which always includes i itself, so it never
-divides by zero.
+divides by zero.  The `exponential` integrator is `phase.exact_step` with
+the local mean velocity as the field.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IntegrationBlowupError, InvalidInputError
-from .phase import AgentState, HeadingState, wrap_angle
+from .phase import AgentState, HeadingState, exact_step, wrap_angle
 from .spatial import neighborhood_sums
 
 
@@ -66,9 +67,10 @@ def integrate_agents(state: AgentState, rhs, dt, scheme="rk4", lam=None):
     """Advance one step with the given acceleration function.
 
     Schemes: "explicit_euler", "rk4", and "exponential".  The exponential
-    scheme rewrites a_i = lam*(ubar_i - v_i) and applies the exact
-    constant-field update, so per-agent speeds stay inside the convex hull
-    of {v_j}; it is exact whenever the local mean ubar is constant in time.
+    scheme rewrites a_i = lam*(ubar_i - v_i) and applies `exact_step` with
+    the field ubar, so per-agent speeds stay inside the convex hull of
+    {v_j}; it is exact whenever the local mean ubar is constant in time.
+    The new state is at time state.t + dt; runs take times from `march`.
     """
     if not (dt > 0):
         raise InvalidInputError("dt must be positive")
@@ -90,11 +92,7 @@ def integrate_agents(state: AgentState, rhs, dt, scheme="rk4", lam=None):
     elif scheme == "exponential":
         if lam is None or not (lam > 0):
             raise InvalidInputError("exponential scheme needs lam > 0")
-        a = rhs(state)
-        ubar = v + a / lam
-        decay = np.exp(-lam * dt)
-        new_v = ubar + (v - ubar) * decay
-        new_x = x + ubar * dt + (v - ubar) * (1.0 - decay) / lam
+        new_x, new_v = exact_step(x, v, v + rhs(state) / lam, lam, dt)
     else:
         raise InvalidInputError(f"unknown scheme {scheme!r}")
     if not (np.all(np.isfinite(new_x)) and np.all(np.isfinite(new_v))):

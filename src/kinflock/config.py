@@ -166,12 +166,6 @@ def validate_config(data: dict) -> ScenarioConfig:
     if "initial" not in data:
         merged.pop("initial", None)  # partial defaults alone would not re-validate
     mode = merged["mode"]
-    if merged["lam"] <= 0:
-        raise ConfigError("lam must be > 0")
-    if merged["radius"] <= 0:
-        raise ConfigError("radius must be > 0")
-    if merged["delta"] < 0:
-        raise ConfigError("delta must be >= 0")
     if mode == "picard" and merged["delta"] <= 0:
         raise ConfigError("picard mode requires delta > 0 (the regularization "
                           "appears in the field denominator)")
@@ -192,10 +186,18 @@ def validate_config(data: dict) -> ScenarioConfig:
         raise ConfigError("vicsek model requires dim = 2")
     if mode == "oracle" and merged["dim"] != 1:
         raise ConfigError("oracle mode is 1D only")
+    x_min, x_max = merged["oracle"]["x_min"], merged["oracle"]["x_max"]
+    if mode == "oracle" and not x_min < x_max:
+        raise ConfigError(f"config key oracle/x_max: {x_max!r} must be greater "
+                          f"than x_min = {x_min!r}")
     ib = merged.get("initial")
     if ib is not None and "x_bounds" in ib:
         if len(ib["x_bounds"]) != merged["dim"] or len(ib["v_bounds"]) != merged["dim"]:
             raise ConfigError("initial bounds must have one [lo, hi] pair per dimension")
+        for key in ("x_bounds", "v_bounds"):
+            for i, (lo, hi) in enumerate(ib[key]):
+                if lo > hi:
+                    raise ConfigError(f"config key initial/{key}/{i}: lo > hi in {[lo, hi]!r}")
         _check_centres(ib, merged["dim"])
     return ScenarioConfig(merged)
 

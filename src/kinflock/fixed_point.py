@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .kinetic import advance_characteristics, mean_field
+from .kinetic import _flow, mean_field
 from .phase import Ensemble
 
 BOUND_SLACK = 1e-12
@@ -111,9 +111,10 @@ def default_field_box(f0: Ensemble, T):
     return lo, hi
 
 
-def apply_F(E: FieldGrid, f0: Ensemble, lam, r, delta):
+def apply_F(E: FieldGrid, f0: Ensemble, r, delta):
     """One application of the fixed-point map: solve the linear transport
-    problem driven by E, then evaluate j/(delta + rho) at every node.
+    problem driven by E, then evaluate j/(delta + rho) at every node.  Each
+    step runs from one time node to the next under the earlier node's field.
 
     The output inherits E's grid and satisfies the same sup bound.
     """
@@ -124,14 +125,12 @@ def apply_F(E: FieldGrid, f0: Ensemble, lam, r, delta):
             f"input field violates its sup bound: {E.sup_norm():.17g} > {E.bound:.17g}")
     nodes = E.node_points
     out = np.zeros_like(E.values)
-    ens = f0.copy()
-    n_t = len(E.times)
-    for k in range(n_t):
-        t_k = E.times[k]
+    ens = f0
+    for k, t_k in enumerate(E.times):
         out[k] = mean_field(ens, nodes, r, delta).reshape(out[k].shape)
-        if k + 1 < n_t:
-            dt = E.times[k + 1] - t_k
-            ens = advance_characteristics(ens, lambda t, X: E.evaluate(t_k, X), dt)
+        if k + 1 < len(E.times):
+            t_next = E.times[k + 1]
+            ens = f0.stepped(t_next, *_flow(ens, E.evaluate(t_k, ens.x), t_next - t_k))
     result = E.copy_with_values(out)
     if result.sup_norm() > E.bound + BOUND_SLACK:
         raise InvariantViolationError(
@@ -147,7 +146,7 @@ class PicardResult:
     iterations: int = 0
 
 
-def picard_solve(f0: Ensemble, lam, r, delta, T, n_time_nodes, n_space_nodes,
+def picard_solve(f0: Ensemble, r, delta, T, n_time_nodes, n_space_nodes,
                  tol, max_iter, damping=1.0):
     """Iterate E <- (1-theta) E + theta F[E] from the zero field until the
     discrete sup-norm update falls below tol.
@@ -166,7 +165,7 @@ def picard_solve(f0: Ensemble, lam, r, delta, T, n_time_nodes, n_space_nodes,
     E = FieldGrid.zero(times, axes, m0)
     result = PicardResult(E)
     for it in range(1, max_iter + 1):
-        F = apply_F(E, f0, lam, r, delta)
+        F = apply_F(E, f0, r, delta)
         if F.sup_norm() > m0 + BOUND_SLACK:
             raise InvariantViolationError(
                 f"Picard iterate {it} violates the sup bound")

@@ -3,11 +3,12 @@ with neighborhood-averaged velocity field, including its delta-regularized
 variant.
 
 Particles move along characteristics dX/dt = V, dV/dt = lam*(E - V).  Each
-step freezes the field at the step start and applies the exact solution of
-the resulting linear ODE, so the velocity update is a convex combination of
-the old velocity and the (bounded) field value.  Density values and phase
-volumes are multiplied by reciprocal exponential factors, keeping particle
-masses exactly constant.
+step freezes the field at the step start and applies `phase.exact_step`,
+the exact solution of the resulting linear ODE, so the velocity update is a
+convex combination of the old velocity and the (bounded) field value.  The
+run loops go through `phase.march`, which gives each step its time from
+the step count.  Density values and phase volumes are multiplied by
+reciprocal exponential factors, keeping particle masses exactly constant.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .phase import Ensemble, march
+from .phase import Ensemble, exact_step, march
 from .spatial import neighborhood_sums
 
 SUPPORT_SLACK = 1e-9
@@ -216,31 +217,15 @@ def mean_field(ensemble: Ensemble, centers, r, delta=0.0):
     return np.divide(j, rho, out=np.zeros_like(j), where=rho > 0)
 
 
-def _flow(ens: Ensemble, field, dt):
-    """New (x, v) after one exact frozen-field step of length dt.
-
-    `field` is either a callable (t, X) -> (N, d) array or a precomputed
-    (N, d) array of field values at the particle positions.
-    """
-    if callable(field):
-        E = np.asarray(field(ens.t, ens.x), dtype=float).reshape(ens.n, ens.dim)
-    else:
-        E = np.asarray(field, dtype=float).reshape(ens.n, ens.dim)
+def _flow(ens: Ensemble, E, dt):
+    """New (x, v) after one `exact_step` of length dt under the (N, d)
+    field values E at the particle positions."""
+    E = np.asarray(E, dtype=float).reshape(ens.n, ens.dim)
     if not np.isfinite(E).all():
         bad = int(np.nonzero(~np.isfinite(E).all(axis=1))[0][0])
         raise InvariantViolationError(
             f"non-finite field value at particle {bad}, x={ens.x[bad]}", index=bad)
-    lam = ens.lam
-    decay = np.exp(-lam * dt)
-    dv = ens.v - E
-    return ens.x + E * dt + dv * (1.0 - decay) / lam, E + dv * decay
-
-
-def advance_characteristics(ensemble: Ensemble, field, dt):
-    """One exact frozen-field step (see `_flow` for `field`)."""
-    if not (dt > 0):
-        raise InvalidInputError("dt must be positive")
-    return ensemble.stepped(ensemble.t + dt, *_flow(ensemble, field, dt))
+    return exact_step(ens.x, ens.v, E, ens.lam, dt)
 
 
 @dataclass
@@ -252,48 +237,37 @@ class KineticRunResult:
 def run_linear(ensemble0: Ensemble, field, T, dt, snapshot_stride=1):
     """Advance the ensemble under a prescribed field evaluator
     (t, X) -> (N, d); the linear problem driven by a frozen external field.
+    Time and growth come from `march`'s step count."""
+    def step(ens, k, t):
+        x, v = _flow(ens, field(ens.t, ens.x), dt) if ens.n else (ens.x, ens.v)
+        return ensemble0.stepped(t, x, v)
 
-    Time and growth come from the step count, not accumulated: one rounding
-    per step would break the 1e-12 growth laws within 1e4 steps."""
-    if not (T > 0 and dt > 0):
-        raise InvalidInputError("T and dt must be positive")
-
-    def step(ens, k):
-        x, v = _flow(ens, field, dt) if ens.n else (ens.x, ens.v)
-        return ensemble0.stepped(ensemble0.t + k * dt, x, v)
-
-    return KineticRunResult(*march(ensemble0.copy(), step, max(1, int(round(T / dt))),
-                                   snapshot_stride))
+    return KineticRunResult(*march(ensemble0, step, T, dt, snapshot_stride))
 
 
 def run_self_consistent(ensemble0: Ensemble, T, dt, delta=0.0,
                         snapshot_stride=1):
-    """Self-consistent nonlinear run: at each step rebuild the spatial
-    index, evaluate the (regularized) mean velocity field at every particle
-    position from the current ensemble, and advance one frozen-field step,
-    with time and growth from the step count as in `run_linear`.
+    """Self-consistent nonlinear run: at each step evaluate the
+    (regularized) mean velocity field at every particle position from the
+    current ensemble and advance one frozen-field step, with time and
+    growth from `march`'s step count as in `run_linear`.
 
     delta = 0 selects the unregularized field with its zero branch on empty
     neighborhoods.
     """
-    if not (T > 0 and dt > 0):
-        raise InvalidInputError("T and dt must be positive")
     if delta < 0:
         raise InvalidInputError("delta must be >= 0")
     m0 = ensemble0.initial_support_bound
     r = ensemble0.radius
 
-    def step(ens, k):
-        if not ens.n:
-            return ensemble0.stepped(ensemble0.t + k * dt, ens.x, ens.v)
+    def step(ens, k, t):
         E = mean_field(ens, ens.x, r, delta)
-        ens = ensemble0.stepped(ensemble0.t + k * dt, *_flow(ens, E, dt))
+        ens = ensemble0.stepped(t, *_flow(ens, E, dt))
         speed = np.sqrt((ens.v ** 2).sum(axis=1))
-        if speed.max() > m0 + SUPPORT_SLACK:
+        if speed.max(initial=0.0) > m0 + SUPPORT_SLACK:
             raise InvariantViolationError(
                 f"velocity support bound violated: |v|={speed.max():.17g} "
                 f"> M0={m0:.17g}", step=k, index=int(speed.argmax()))
         return ens
 
-    return KineticRunResult(*march(ensemble0.copy(), step, max(1, int(round(T / dt))),
-                                   snapshot_stride))
+    return KineticRunResult(*march(ensemble0, step, T, dt, snapshot_stride))

@@ -3,9 +3,10 @@
 
 This is the independent cross-check for the particle solver: each step
 traces the exact frozen-field characteristic backward from every cell
-center, interpolates bilinearly (monotone, max-principle preserving), and
-multiplies by the growth factor e^{lam*dt}.  lam = 0 (pure transport) is
-admitted here as a sanity case only.
+center, `phase.exact_step` with a negative time step, interpolates
+bilinearly (monotone, max-principle preserving), and multiplies by the
+growth factor e^{lam*dt}.  `phase.march` gives each step its time.
+lam = 0 (pure transport) is admitted here as a sanity case only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ResolutionError
-from .phase import march
+from .phase import exact_step, march
 from .spatial import neighborhood_sums
 
 
@@ -54,10 +55,6 @@ class PhaseGrid:
 
     def total_mass(self):
         return float(self.values.sum() * self.cell_area)
-
-    def copy(self):
-        return PhaseGrid(self.x_nodes.copy(), self.v_nodes.copy(),
-                         self.values.copy(), self.t, self.lam)
 
     @staticmethod
     def from_function(f0, x_min, x_max, n_x, v_max, n_v, lam):
@@ -117,10 +114,8 @@ def semi_lagrangian_step(grid: PhaseGrid, E, dt, boundary_tol=1e-6):
         x_back = X - V * dt
         factor = 1.0
     else:
-        growth = np.exp(lam * dt)
-        v_back = Eg + (V - Eg) * growth
-        x_back = X - Eg * dt - (V - Eg) * (growth - 1.0) / lam
-        factor = growth  # e^{lam*d*dt} with d = 1
+        x_back, v_back = exact_step(X, V, Eg, lam, -dt)
+        factor = np.exp(lam * dt)  # e^{lam*d*dt} with d = 1
     new_vals = factor * bilinear_sample(grid, x_back, v_back)
     new_grid = PhaseGrid(grid.x_nodes, grid.v_nodes, new_vals, grid.t + dt, lam)
     peak = new_vals.max() if new_vals.size else 0.0
@@ -134,13 +129,13 @@ def semi_lagrangian_step(grid: PhaseGrid, E, dt, boundary_tol=1e-6):
 
 
 def run_oracle(grid0: PhaseGrid, E, T, dt, snapshot_stride=1):
-    """Step the grid to time T, collecting snapshots."""
-    def step(grid, k):
+    """Step the grid to time T on `march`'s clock, collecting snapshots."""
+    def step(grid, k, t):
         grid = semi_lagrangian_step(grid, E, dt)
-        grid.t = grid0.t + k * dt
+        grid.t = t
         return grid
 
-    return march(grid0.copy(), step, max(1, int(round(T / dt))), snapshot_stride)
+    return march(grid0, step, T, dt, snapshot_stride)
 
 
 def oracle_lp_norm(grid: PhaseGrid, p):

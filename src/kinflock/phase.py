@@ -5,7 +5,8 @@ each particle carries a mass, the pointwise density value transported along
 its characteristic, and the phase-space volume element it represents.  The
 product density_value * phase_volume equals the (constant) mass; both
 factors are updated by reciprocal exponentials so the identity is exact.
-`march` is the time loop that every solver runs its steps through.
+Every solver steps its characteristics with `exact_step` and takes its
+step count and times from `march`.
 """
 
 from __future__ import annotations
@@ -32,14 +33,28 @@ def _as_points(arr, dim, name):
     return a
 
 
-def march(state, step, n_steps, stride):
+def exact_step(x, v, E, lam, dt):
+    """(x, v) after time dt along dX/dt = V, dV/dt = lam*(E - V) with the
+    field E frozen: v relaxes to E by e^{-lam*dt}.  A negative dt traces the
+    characteristic backward; the arrays broadcast against each other."""
+    decay = np.exp(-lam * dt)
+    dv = v - E
+    return x + E * dt + dv * (1.0 - decay) / lam, E + dv * decay
+
+
+def march(state, step, T, dt, stride):
     """(snapshots, steps): `state` and the state after every `stride`-th
-    step and after the last of `n_steps`.  `step(state, k)` returns the
-    state after step k as a new object, so snapshots are the states
-    themselves."""
+    step and after the last of the round(T/dt) steps.  `step(state, k, t)`
+    returns a new state for step k at time t = state.t + k*dt.  t comes
+    from k, not from a running sum, whose rounding would break the 1e-12
+    growth laws within 1e4 steps.  Snapshots are the states themselves."""
+    if not (T > 0 and dt > 0):
+        raise InvalidInputError("T and dt must be positive")
+    n_steps = max(1, int(round(T / dt)))
     snapshots, steps = [state], [0]
+    t0 = state.t
     for k in range(1, n_steps + 1):
-        state = step(state, k)
+        state = step(state, k, t0 + k * dt)
         if k % stride == 0 or k == n_steps:
             snapshots.append(state)
             steps.append(k)
@@ -159,10 +174,6 @@ class Ensemble:
         if self.n == 0:
             return 0.0
         return float(np.sqrt((self.v ** 2).sum(axis=1)).max())
-
-    def copy(self):
-        """An independent copy, through `stepped` at the same time."""
-        return self.stepped(self.t, self.x.copy(), self.v.copy())
 
     def stepped(self, t, x, v):
         """The ensemble at time t with new (N, dim) positions and velocities.

@@ -131,8 +131,7 @@ def run_agents(cfg: ScenarioConfig, out_dir):
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "agents"))
     rng, noise_rng, _ = cfg.seed_streams()
     model = cfg["model"]
-    n_steps = max(1, int(round(cfg["t_final"] / cfg["dt"])))
-    stride = cfg["snapshot_stride"]
+    t_final, dt, stride = cfg["t_final"], cfg["dt"], cfg["snapshot_stride"]
 
     if model == "vicsek":
         if "initial" in cfg.data:
@@ -143,8 +142,8 @@ def run_agents(cfg: ScenarioConfig, out_dir):
         pos = rng.uniform(xb[:, 0], xb[:, 1], size=(n, 2))
         head = rng.uniform(-np.pi, np.pi, size=n)
         state = HeadingState(0, pos, head, cfg["vicsek"]["speed"])
-        snaps, steps = march(state, lambda s, k: vicsek_step(
-            s, cfg["radius"], cfg["vicsek"]["noise"], noise_rng), n_steps, stride)
+        snaps, steps = march(state, lambda s, k, t: vicsek_step(
+            s, cfg["radius"], cfg["vicsek"]["noise"], noise_rng), t_final, dt, stride)
         for st in snaps:
             mean_vec = np.array([np.cos(st.headings).mean(), np.sin(st.headings).mean()]) if st.n else np.zeros(2)
             report.records.append({"t": float(st.t),
@@ -155,8 +154,13 @@ def run_agents(cfg: ScenarioConfig, out_dir):
     state, _ = sample_agents(cfg, rng)
     lam, rhs = cfg["lam"], agent_rhs(cfg)
     max_speed0 = float(np.sqrt((state.velocities ** 2).sum(axis=1)).max()) if state.n else 0.0
-    snaps, steps = march(state, lambda s, k: integrate_agents(
-        s, rhs, cfg["dt"], cfg["integrator"], lam=lam), n_steps, stride)
+
+    def step(s, k, t):
+        s = integrate_agents(s, rhs, dt, cfg["integrator"], lam=lam)
+        s.t = t
+        return s
+
+    snaps, steps = march(state, step, t_final, dt, stride)
     for st in snaps:
         var, vdiam, xdiam = diag.flocking_metrics(st)
         report.records.append({"t": st.t, "velocity_variance": var,
@@ -215,7 +219,7 @@ def run_picard(cfg: ScenarioConfig, out_dir):
     spec = initial_spec_from_config(cfg)
     ens0 = sample_initial(spec, cfg["lam"], cfg["radius"], rng=rng)
     pc = cfg["picard"]
-    result = picard_solve(ens0, cfg["lam"], cfg["radius"], cfg["delta"],
+    result = picard_solve(ens0, cfg["radius"], cfg["delta"],
                           cfg["t_final"], pc["n_time_nodes"], pc["n_space_nodes"],
                           pc["tol"], pc["max_iter"], pc["damping"])
     m0 = ens0.initial_support_bound

@@ -26,10 +26,10 @@ from kinflock.diagnostics import (check_density_growth, check_lp_law,
                                   check_volume_law, flocking_metrics,
                                   meanfield_distance, pushforward_sum)
 from kinflock.fixed_point import FieldGrid, apply_F, picard_solve
-from kinflock.kinetic import (InitialDistributionSpec, advance_characteristics,
-                              run_linear, run_self_consistent, sample_initial)
+from kinflock.kinetic import (InitialDistributionSpec, run_linear,
+                              run_self_consistent, sample_initial)
 from kinflock.oracle import PhaseGrid, quadrature_pushforward, run_oracle
-from kinflock.phase import AgentState, Ensemble
+from kinflock.phase import AgentState, Ensemble, march
 from kinflock.runner import initial_spec_from_config
 
 
@@ -154,8 +154,7 @@ def test_criterion_5_jacobian_volume_law(particle_runs):
     ens = Ensemble(0.0, 1, lam, 1.0, stencil[:, :1].copy(), stencil[:, 1:].copy(),
                    np.full(m, 1.0 / m), np.ones(m), np.full(m, 1.0 / m),
                    initial_support_bound=10.0)
-    for _ in range(int(round(t_end / dt))):
-        ens = advance_characteristics(ens, field, dt)
+    ens = run_linear(ens, field, t_end, dt, snapshot_stride=10 ** 9).snapshots[-1]
     X, V = ens.x[:, 0], ens.v[:, 0]
     want = np.exp(-lam * t_end)
     fd_err = 0.0
@@ -211,16 +210,23 @@ def test_criterion_7_exact_frozen_field_step():
     lam, E_val = 2.0, 0.3
     v_exact = E_val + (-0.7 - E_val) * np.exp(-lam)
     x_exact = 0.2 + E_val + (-0.7 - E_val) * (1 - np.exp(-lam)) / lam
-    worst = 0.0
+    field = lambda t, X: np.full_like(X, E_val)
+    rhs = lambda s: lam * (E_val - s.velocities)  # a = lam*(E - v) for agents
+    worst = worst_agent = 0.0
     for dt in (1.0, 0.25, 0.05, 0.001):
         ens = Ensemble(0.0, 1, lam, 1.0, [[0.2]], [[-0.7]], [1.0], [1.0], [1.0],
                        initial_support_bound=1.0)
-        for _ in range(int(round(1.0 / dt))):
-            ens = advance_characteristics(
-                ens, lambda t, X: np.full_like(X, E_val), dt)
+        ens = run_linear(ens, field, 1.0, dt, snapshot_stride=10 ** 9).snapshots[-1]
         worst = max(worst, abs(ens.v[0, 0] - v_exact), abs(ens.x[0, 0] - x_exact))
-    _verdict(7, "constant-field trajectory matches closed form to 1e-12 for "
-             "all dt", worst <= 1e-12, f"worst={worst:.3g}")
+        agent = march(AgentState(0.0, 1, [[0.2]], [[-0.7]]),
+                      lambda s, k, t: integrate_agents(s, rhs, dt, "exponential", lam=lam),
+                      1.0, dt, 10 ** 9)[0][-1]
+        worst_agent = max(worst_agent, abs(agent.velocities[0, 0] - v_exact),
+                          abs(agent.positions[0, 0] - x_exact))
+    _verdict(7, "constant-field trajectory of particles and exponential agents "
+             "matches closed form to 1e-12 for all dt",
+             max(worst, worst_agent) <= 1e-12,
+             f"particles={worst:.3g} agents={worst_agent:.3g}")
 
 
 def test_criterion_8_flocking_decay():
@@ -257,7 +263,7 @@ def test_criterion_9_fixed_point_bound_and_continuity():
                           cfg["radius"], rng=rng)
     m0 = ens0.initial_support_bound
     pc = cfg["picard"]
-    res = picard_solve(ens0, cfg["lam"], cfg["radius"], cfg["delta"],
+    res = picard_solve(ens0, cfg["radius"], cfg["delta"],
                        cfg["t_final"], pc["n_time_nodes"], pc["n_space_nodes"],
                        pc["tol"], pc["max_iter"])
     # picard_solve raises if any iterate exceeds M0; re-check the final field
@@ -272,8 +278,8 @@ def test_criterion_9_fixed_point_bound_and_continuity():
         pert = np.clip(E.values + eps * noise, -m0 / np.sqrt(E.dim),
                        m0 / np.sqrt(E.dim))
         Ep = E.copy_with_values(pert)
-        FA = apply_F(E, ens0, cfg["lam"], cfg["radius"], cfg["delta"])
-        FB = apply_F(Ep, ens0, cfg["lam"], cfg["radius"], cfg["delta"])
+        FA = apply_F(E, ens0, cfg["radius"], cfg["delta"])
+        FB = apply_F(Ep, ens0, cfg["radius"], cfg["delta"])
         gaps.append(float(np.sqrt(((FA.values - FB.values) ** 2).sum(axis=-1)).max()))
     monotone = gaps[0] >= gaps[1] >= gaps[2]
     ok = bound_ok and monotone
@@ -288,7 +294,7 @@ def test_criterion_10_cross_solver_consistency():
     ens0 = sample_initial(initial_spec_from_config(cfg), cfg["lam"],
                           cfg["radius"], rng=rng)
     pc = cfg["picard"]
-    res = picard_solve(ens0, cfg["lam"], cfg["radius"], cfg["delta"],
+    res = picard_solve(ens0, cfg["radius"], cfg["delta"],
                        cfg["t_final"], pc["n_time_nodes"], pc["n_space_nodes"],
                        pc["tol"], pc["max_iter"])
     assert res.converged

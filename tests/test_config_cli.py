@@ -320,6 +320,47 @@ class TestCli:
                                 f"'{kernel['kind']}' is not one of ['indicator']\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, change, key", [
+        ("kinetic_two_bump.json", lambda d: d["initial"].update(x_bounds=[[2.0, -2.0]]),
+         "initial/x_bounds/0"),
+        ("agents_cluster.json", lambda d: d["initial"]["v_bounds"][1].reverse(),
+         "initial/v_bounds/1"),
+        ("oracle_l2.json", lambda d: d["oracle"].update(x_min=3.0, x_max=-3.0), "oracle/x_max"),
+        ("oracle_l2.json", lambda d: d["oracle"].update(x_min=1.0, x_max=1.0), "oracle/x_max"),
+    ], ids=["x_bounds", "v_bounds", "oracle-reversed", "oracle-empty"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_unordered_ranges_exit_2(self, tmp_path, capsys, scenario, change, key, command):
+        # each would pass the schema and only fail once `run` built the state
+        data = json.loads(Path(scenario_path(scenario)).read_text())
+        change(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: config key {key}: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, snapshots", [
+        ("two_particle_symmetric.json", "particles.csv"),
+        ("kinetic_two_bump.json", "particles.csv"),
+        ("agents_cluster.json", "agents.csv"),
+        ("vicsek_basic.json", "agents.csv")])
+    def test_snapshot_times_are_step_times_dt(self, tmp_path, capsys, name, snapshots):
+        # the shipped scenarios that write particle or agent snapshots; 100
+        # steps of 0.01 summed one by one end at 1.0000000000000007, not 1.0
+        out = tmp_path / "out"
+        assert main(["run", "--config", scenario_path(name), "--out", str(out)]) == 0
+        dt = load_config(scenario_path(name))["dt"]
+        rows = [line.split(",")[:2] for line in (out / snapshots).read_text().splitlines()[1:]]
+        assert rows and all(float(t) == int(step) * dt for step, t in rows)
+        steps = sorted({int(step) for step, _ in rows})
+        report = json.loads((out / "diagnostics.json").read_text())
+        assert [r["t"] for r in report["records"]] == [k * dt for k in steps]
+
     def test_validate_rejects_vicsek_outside_2d(self, tmp_path, capsys):
         data = json.loads(Path(scenario_path("vicsek_basic.json")).read_text())
         data["dim"] = 3

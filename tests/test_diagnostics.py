@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ def make_ensemble(t=0.0, lam=1.0, dim=1, n=4, seed=0):
 
 def evolved_copy(ens, t):
     """Exact linear-law evolution of the bookkeeping columns only."""
-    out = ens.copy()
+    out = copy.deepcopy(ens)
     out.t = t
     factor = np.exp(ens.lam * ens.dim * t)
     out.density_value = ens.density_value * factor
@@ -42,7 +44,7 @@ class TestMassAndSupport:
 
     def test_drifting_mass_fails(self):
         a = make_ensemble()
-        b = a.copy()
+        b = copy.deepcopy(a)
         b.mass = a.mass * 1.001
         res = check_mass([a, b], tol=1e-6)
         assert not res.passed
@@ -55,7 +57,7 @@ class TestMassAndSupport:
     def test_grid_snapshots_accepted(self):
         g = PhaseGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                       np.ones((2, 2)), 0.0, 1.0)
-        res = check_mass([g, g.copy()])
+        res = check_mass([g, copy.deepcopy(g)])
         assert res.passed
 
     def test_support_check(self):
@@ -101,7 +103,7 @@ class TestOracleChecks:
         # scale the values by e^{0.25 t}: the p = 1 slope is exactly 0.25
         snaps = []
         for t in (0.0, 0.5, 1.0, 1.5):
-            g = self.g.copy()
+            g = copy.deepcopy(self.g)
             g.t = t
             g.values = self.g.values * np.exp(0.25 * t)
             snaps.append(g)

@@ -147,20 +147,20 @@ class TestApplyF:
     def test_requires_positive_delta(self):
         E = FieldGrid.zero([0.0, 1.0], (np.linspace(-1, 1, 3),), 1.0)
         with pytest.raises(InvalidInputError):
-            apply_F(E, symmetric_pair(), 1.0, 3.0, 0.0)
+            apply_F(E, symmetric_pair(), 3.0, 0.0)
 
     def test_rejects_out_of_bound_input(self):
         E = FieldGrid.zero([0.0, 1.0], (np.linspace(-1, 1, 3),), 0.5)
         E.values[:] = 2.0
         with pytest.raises(InvalidInputError):
-            apply_F(E, symmetric_pair(), 1.0, 3.0, 0.1)
+            apply_F(E, symmetric_pair(), 3.0, 0.1)
 
     def test_empty_initial_data_maps_to_zero(self):
         empty = Ensemble(0.0, 1, 1.0, 1.0, np.zeros((0, 1)), np.zeros((0, 1)),
                          np.zeros(0), np.zeros(0), np.zeros(0),
                          initial_support_bound=1.0)
         E = FieldGrid.zero([0.0, 0.5], (np.linspace(-1, 1, 5),), 1.0)
-        out = apply_F(E, empty, 1.0, 1.0, 0.1)
+        out = apply_F(E, empty, 1.0, 0.1)
         assert out.sup_norm() == 0.0
 
     def test_node_values_match_regularized_quotient_at_t0(self):
@@ -170,7 +170,7 @@ class TestApplyF:
         delta = 0.25
         xs = np.linspace(-1, 1, 5)
         E = FieldGrid.zero([0.0, 1.0], (xs,), 1.0)
-        out = apply_F(E, ens, 1.0, 3.0, delta)
+        out = apply_F(E, ens, 3.0, delta)
         # both particles sit at x = 0 with opposite velocities: j = 0
         assert np.allclose(out.values[0], 0.0, atol=1e-15)
 
@@ -180,7 +180,7 @@ class TestApplyF:
         delta = 0.1
         xs = np.array([0.0])
         E = FieldGrid.zero([0.0], (xs,), 1.0)
-        out = apply_F(E, ens, 1.0, 2.0, delta)
+        out = apply_F(E, ens, 2.0, delta)
         want = 0.3 * 0.8 / (delta + 0.3)
         assert out.values[0, 0, 0] == pytest.approx(want, abs=1e-15)
 
@@ -188,7 +188,7 @@ class TestApplyF:
         ens = small_cloud(seed=3)
         xs = np.linspace(-3, 3, 11)
         E = FieldGrid.zero(np.linspace(0, 0.5, 6), (xs,), ens.initial_support_bound)
-        out = apply_F(E, ens, 1.0, 0.5, 1e-3)
+        out = apply_F(E, ens, 0.5, 1e-3)
         assert out.sup_norm() <= ens.initial_support_bound + 1e-12
 
 
@@ -204,7 +204,7 @@ class TestPicard:
                        np.full((n, 1), v_star), np.full(n, 1.0 / n), np.ones(n),
                        np.full(n, 1.0 / n), initial_support_bound=0.5)
         delta = 0.5
-        res = picard_solve(ens, lam=1.0, r=5.0, delta=delta, T=0.5,
+        res = picard_solve(ens, r=5.0, delta=delta, T=0.5,
                            n_time_nodes=6, n_space_nodes=9, tol=1e-10, max_iter=50)
         assert res.converged
         # with r = 5 every node sees the whole unit mass, so at t = 0 the
@@ -218,7 +218,7 @@ class TestPicard:
 
     def test_residuals_decrease_and_bound_holds(self):
         ens = small_cloud(seed=5)
-        res = picard_solve(ens, lam=1.0, r=0.5, delta=0.1, T=0.4,
+        res = picard_solve(ens, r=0.5, delta=0.1, T=0.4,
                            n_time_nodes=9, n_space_nodes=17, tol=1e-8, max_iter=60)
         assert res.converged
         assert res.residuals[-1] < 1e-8
@@ -228,7 +228,7 @@ class TestPicard:
 
     def test_damping_reaches_same_fixed_point(self):
         ens = small_cloud(seed=6)
-        kw = dict(lam=1.0, r=0.5, delta=0.2, T=0.3, n_time_nodes=7,
+        kw = dict(r=0.5, delta=0.2, T=0.3, n_time_nodes=7,
                   n_space_nodes=13, tol=1e-10, max_iter=100)
         a = picard_solve(ens, **kw)
         b = picard_solve(ens, damping=0.5, **kw)
@@ -238,14 +238,14 @@ class TestPicard:
     def test_invalid_arguments(self):
         ens = small_cloud()
         with pytest.raises(InvalidInputError):
-            picard_solve(ens, 1.0, 0.5, 0.1, 0.3, 5, 5, tol=0.0, max_iter=10)
+            picard_solve(ens, 0.5, 0.1, 0.3, 5, 5, tol=0.0, max_iter=10)
         with pytest.raises(InvalidInputError):
-            picard_solve(ens, 1.0, 0.5, 0.1, 0.3, 5, 5, tol=1e-6, max_iter=10,
+            picard_solve(ens, 0.5, 0.1, 0.3, 5, 5, tol=1e-6, max_iter=10,
                          damping=1.5)
 
     def test_nonconvergence_reported_not_raised(self):
         ens = small_cloud(seed=7)
-        res = picard_solve(ens, 1.0, 0.5, 0.05, 0.4, 9, 17, tol=1e-15, max_iter=2)
+        res = picard_solve(ens, 0.5, 0.05, 0.4, 9, 17, tol=1e-15, max_iter=2)
         assert not res.converged
         assert res.iterations == 2
 

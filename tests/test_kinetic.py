@@ -1,16 +1,16 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from kinflock import diagnostics as diag
 from kinflock.errors import InvalidInputError, InvariantViolationError
-from kinflock.kinetic import (InitialDistributionSpec, advance_characteristics,
-                              mean_field, moments_at_points, run_linear,
-                              run_self_consistent, sample_initial, _grid_eval,
-                              _total_mass)
-from kinflock.phase import Ensemble, march
+from kinflock.kinetic import (InitialDistributionSpec, mean_field,
+                              moments_at_points, run_linear, run_self_consistent,
+                              sample_initial, _grid_eval, _total_mass)
+from kinflock.phase import Ensemble, exact_step, march
 
 
 def unit_square_spec(n_x=32, n_v=32):
@@ -176,14 +176,6 @@ class TestInitialMesh:
 
 
 class TestEnsembleSteps:
-    def test_copy_is_independent(self):
-        ens = two_particle_ensemble()
-        out = ens.copy()
-        out.x[0, 0] = 5.0
-        out.mass[0] = 0.25
-        assert ens.x[0, 0] == 0.0 and ens.mass[0] == 0.5
-        assert out.initial_support_bound == ens.initial_support_bound
-
     @pytest.mark.parametrize("field, value, message", [
         ("x", np.inf, "x: non-finite"), ("v", np.nan, "v: non-finite"),
         ("density_value", np.inf, "density_value: non-finite"),
@@ -238,8 +230,8 @@ class TestEnsembleSteps:
             run_linear(ens, lambda t, X: np.zeros_like(X), T=1.0, dt=0.1)
         else:
             run_self_consistent(ens, T=1.0, dt=0.1)
-        # one call for the copy at the start, then one per step
-        assert calls == [0.0] + [0.1 * k for k in range(1, 11)]
+        # one call per step, none at the start: march starts from `ens` itself
+        assert calls == [0.1 * k for k in range(1, 11)]
 
     @pytest.mark.parametrize("solver", ["linear", "self_consistent"])
     def test_density_overflow_aborts_the_run(self, solver):
@@ -321,11 +313,61 @@ class TestMomentsAndFields:
             mean_field(ens, [0.0], 1.0, -0.1)
 
 
+def kinetic_reference(x, v, E, lam, dt):
+    """Reference: the closed form as kinetic._flow wrote it out."""
+    decay = np.exp(-lam * dt)
+    dv = v - E
+    return x + E * dt + dv * (1.0 - decay) / lam, E + dv * decay
+
+
+def agents_reference(x, v, a, lam, dt):
+    """Reference: the closed form as the agents' exponential scheme wrote it out."""
+    ubar = v + a / lam
+    decay = np.exp(-lam * dt)
+    new_v = ubar + (v - ubar) * decay
+    new_x = x + ubar * dt + (v - ubar) * (1.0 - decay) / lam
+    return new_x, new_v
+
+
+def oracle_reference(X, V, Eg, lam, dt):
+    """Reference: the backward foot as oracle.semi_lagrangian_step wrote it out."""
+    growth = np.exp(lam * dt)
+    v_back = Eg + (V - Eg) * growth
+    x_back = X - Eg * dt - (V - Eg) * (growth - 1.0) / lam
+    return x_back, v_back
+
+
+def one_step(ens, field, dt):
+    """The ensemble after one step of `run_linear` under `field`."""
+    return run_linear(ens, field, T=dt, dt=dt).snapshots[-1]
+
+
 class TestCharacteristics:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_step_is_each_old_closed_form(self, seed, dim, sign):
+        rng = np.random.default_rng(seed)
+        n = 40
+        lam = rng.uniform(0.05, 4.0)
+        dt = sign * 10.0 ** rng.uniform(-4, 0)
+        x, v, E, a = (rng.normal(scale=3.0, size=(n, dim)) for _ in range(4))
+        for got, want in ((exact_step(x, v, E, lam, dt), kinetic_reference(x, v, E, lam, dt)),
+                          (exact_step(x, v, v + a / lam, lam, dt),
+                           agents_reference(x, v, a, lam, dt))):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # the oracle's (n_x, 1) field against its (n_x, n_v) node arrays
+        X, V = np.meshgrid(rng.normal(size=n), rng.normal(size=n + 3), indexing="ij")
+        Eg = rng.normal(size=(n, 1))
+        got = exact_step(X, V, Eg, lam, -dt)
+        want = oracle_reference(X, V, Eg, lam, dt)
+        assert got[0].shape == X.shape
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     def test_closed_form_single_step(self):
         ens = Ensemble(0.0, 1, 1.0, 1.0, [[0.0]], [[1.0]], [1.0], [1.0], [1.0],
                        initial_support_bound=1.0)
-        out = advance_characteristics(ens, lambda t, X: np.zeros_like(X), 0.5)
+        out = one_step(ens, lambda t, X: np.zeros_like(X), 0.5)
         assert out.v[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-15)
         assert out.x[0, 0] == pytest.approx(1.0 - np.exp(-0.5), abs=1e-15)
 
@@ -337,7 +379,7 @@ class TestCharacteristics:
                        rng.uniform(0, 1, n), np.ones(n), rng.uniform(0.5, 1.5, n),
                        initial_support_bound=2.0)
         ens.mass = ens.density_value * ens.phase_volume
-        out = advance_characteristics(ens, lambda t, X: 0.1 * np.ones_like(X), 0.2)
+        out = one_step(ens, lambda t, X: 0.1 * np.ones_like(X), 0.2)
         assert np.array_equal(out.mass, ens.mass)
         assert out.check_mass_identity()
 
@@ -345,7 +387,7 @@ class TestCharacteristics:
         # lam*d*dt = 0.1 with d = 2
         ens = Ensemble(0.0, 2, 1.0, 1.0, [[0.0, 0.0]], [[0.5, 0.0]],
                        [1.0], [2.0], [0.5], initial_support_bound=1.0)
-        out = advance_characteristics(ens, lambda t, X: np.zeros_like(X), 0.1)
+        out = one_step(ens, lambda t, X: np.zeros_like(X), 0.1)
         assert out.density_value[0] / ens.density_value[0] == pytest.approx(np.exp(0.2), rel=1e-15)
         assert out.phase_volume[0] / ens.phase_volume[0] == pytest.approx(np.exp(-0.2), rel=1e-15)
 
@@ -358,9 +400,7 @@ class TestCharacteristics:
         def run(dt):
             ens = Ensemble(0.0, 1, 2.0, 1.0, [[0.2]], [[-0.7]], [1.0], [1.0], [1.0],
                            initial_support_bound=1.0)
-            n = int(round(1.0 / dt))
-            for _ in range(n):
-                ens = advance_characteristics(ens, field, dt)
+            ens = run_linear(ens, field, T=1.0, dt=dt).snapshots[-1]
             return ens.x[0, 0], ens.v[0, 0]
 
         lam = 2.0
@@ -374,7 +414,7 @@ class TestCharacteristics:
     def test_nonfinite_field_reported(self):
         ens = two_particle_ensemble()
         with pytest.raises(InvariantViolationError):
-            advance_characteristics(ens, lambda t, X: np.full_like(X, np.nan), 0.1)
+            one_step(ens, lambda t, X: np.full_like(X, np.nan), 0.1)
 
 
 class TestSelfConsistent:
@@ -435,9 +475,20 @@ class TestSelfConsistent:
 @pytest.mark.parametrize("n_steps, stride, want", [
     (10, 3, [0, 3, 6, 9, 10]), (4, 10, [0, 4]), (3, 1, [0, 1, 2, 3])])
 def test_march_snapshots_every_stride_and_the_last(n_steps, stride, want):
-    snaps, steps = march(0, lambda s, k: s + k, n_steps, stride)
+    state = SimpleNamespace(t=0.5, k=0)
+    snaps, steps = march(state, lambda s, k, t: SimpleNamespace(t=t, k=s.k + k),
+                         n_steps * 0.1, 0.1, stride)
     assert steps == want
-    assert snaps == [k * (k + 1) // 2 for k in want]
+    assert snaps[0] is state
+    assert [s.k for s in snaps] == [k * (k + 1) // 2 for k in want]
+    # the clock is the start time plus the step count times dt, not a sum
+    assert [s.t for s in snaps] == [0.5 + k * 0.1 for k in want]
+
+
+@pytest.mark.parametrize("T, dt", [(0.0, 0.1), (1.0, 0.0), (-1.0, 0.1)])
+def test_march_rejects_non_positive_horizon_or_step(T, dt):
+    with pytest.raises(InvalidInputError, match="T and dt must be positive"):
+        march(SimpleNamespace(t=0.0), lambda s, k, t: s, T, dt, 1)
 
 
 def test_run_linear_matches_self_consistent_for_flocked_state():
