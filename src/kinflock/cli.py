@@ -16,11 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
-from .config import load_config
-from .errors import ConfigError, KinflockError
-from .runner import run
+# Every sum in kinflock is exact and order-free, so BLAS threads buy a run
+# nothing but an idle worker thread.  OpenBLAS reads its thread count when
+# numpy loads, which is why this precedes the imports below; a value already
+# in the environment wins, and a process that loaded numpy first keeps its own.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .config import load_config  # noqa: E402
+from .errors import ConfigError, KinflockError  # noqa: E402
+from .runner import run  # noqa: E402
 
 
 def _cmd_run(args):

@@ -184,6 +184,9 @@ def validate_config(data: dict) -> ScenarioConfig:
         raise ConfigError("agents mode requires an initial distribution spec")
     if mode == "agents" and merged["model"] == "vicsek" and merged["dim"] != 2:
         raise ConfigError("vicsek model requires dim = 2")
+    if mode == "agents" and merged["model"] == "vicsek" and dt != 1:
+        raise ConfigError(f"config key dt: {dt!r} must be 1 for the vicsek model, "
+                          "whose agents move by `speed` once per step")
     if mode == "oracle" and merged["dim"] != 1:
         raise ConfigError("oracle mode is 1D only")
     x_min, x_max = merged["oracle"]["x_min"], merged["oracle"]["x_max"]

@@ -131,27 +131,12 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
     elif mode == "monte_carlo":
         _, n_particles, seed = spec.sampling
         rng = np.random.default_rng(seed) if rng is None else rng
-        # f0 peaks at the amplitude, or below n times it where n bumps overlap
-        n_bumps = len(np.reshape(spec.x_centers, (-1, d))) if spec.kind == "two_bump" else 1
-        sup = n_bumps * spec.amplitude
         total = _total_mass(spec)
         if total == 0.0 or n_particles == 0:
             xx = np.zeros((0, d)); vv = np.zeros((0, d))
             dens = np.zeros(0); vol = np.ones(0); mass = np.zeros(0)
         else:
-            xs, vs = [], []
-            need = n_particles
-            while need > 0:
-                m = max(4 * need, 256)
-                cx = rng.uniform(spec.x_bounds[:, 0], spec.x_bounds[:, 1], size=(m, d))
-                cv = rng.uniform(spec.v_bounds[:, 0], spec.v_bounds[:, 1], size=(m, d))
-                u = rng.uniform(0.0, sup, size=m)
-                acc = u < spec.density(cx, cv)
-                cx, cv = cx[acc], cv[acc]
-                take = min(need, len(cx))
-                xs.append(cx[:take]); vs.append(cv[:take])
-                need -= take
-            xx = np.concatenate(xs); vv = np.concatenate(vs)
+            xx, vv = rejection_sample(spec, n_particles, rng)
             dens = spec.density(xx, vv)
             mass = np.full(n_particles, total / n_particles)
             vol = mass / dens
@@ -162,6 +147,45 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
         x=xx, v=vv, mass=mass, density_value=dens, phase_volume=vol,
         initial_support_bound=spec.support_bound,
     )
+
+
+def rejection_sample(spec: InitialDistributionSpec, n, rng):
+    """n phase points (x, v), each (n, d), drawn from the normalized f0 by
+    rejection from its boxes; f0 must not be zero everywhere when n > 0."""
+    d = spec.dim
+    # f0 peaks at the amplitude, or below n times it where n bumps overlap
+    n_bumps = len(np.reshape(spec.x_centers, (-1, d))) if spec.kind == "two_bump" else 1
+    sup = n_bumps * spec.amplitude
+    xs, vs = [np.zeros((0, d))], [np.zeros((0, d))]
+    need = n
+    while need > 0:
+        m = max(4 * need, 256)
+        cx = rng.uniform(spec.x_bounds[:, 0], spec.x_bounds[:, 1], size=(m, d))
+        cv = rng.uniform(spec.v_bounds[:, 0], spec.v_bounds[:, 1], size=(m, d))
+        u = rng.uniform(0.0, sup, size=m)
+        acc = u < spec.density(cx, cv)
+        cx, cv = cx[acc], cv[acc]
+        take = min(need, len(cx))
+        xs.append(cx[:take]); vs.append(cv[:take])
+        need -= take
+    return np.concatenate(xs), np.concatenate(vs)
+
+
+MASS_PROOF_CELLS = 64  # x-cells per slice of the mesh in `has_mass`
+
+
+def has_mass(spec: InitialDistributionSpec, n=None):
+    """Whether `_total_mass(spec, n)` is nonzero, mostly without evaluating
+    its whole mesh.  Every mesh value is >= 0 and rounding is monotone, so
+    the quadrature's sum is at least any one value v, and v*cellvol > 0
+    proves the mass positive.  Slices of x-cells are tried in order; if
+    none holds such a value, the full quadrature decides."""
+    X, V, cellvol = _mesh(spec, n)
+    for lo in range(0, len(X), MASS_PROOF_CELLS):
+        vals = spec.density(X[lo:lo + MASS_PROOF_CELLS, None, :], V[None, :, :])
+        if vals.max() * cellvol > 0:
+            return True
+    return _total_mass(spec, n) != 0.0
 
 
 def _cell_centres(bounds, n, vol=1.0):
@@ -182,15 +206,22 @@ def _total_mass(spec, n=None):
     return float(vals.sum() * cellvol)
 
 
-def _grid_eval(spec, n=None):
-    """f0 at the centres of the n^{2d}-cell phase mesh, x-cells major, and
-    the cell volume.  The mesh is the outer product of its n^d x-cells and
-    n^d v-cells, so only the final values take n^{2d} memory."""
+def _mesh(spec, n=None):
+    """Centres of the n^d x-cells and of the n^d v-cells of the n^{2d}-cell
+    phase mesh, and its cell volume."""
     if n is None:
         # keep the phase-space mesh near 10^6 points regardless of dimension
         n = {1: 512, 2: 32, 3: 10}[spec.dim]
     X, cellvol = _cell_centres(spec.x_bounds, n)
     V, cellvol = _cell_centres(spec.v_bounds, n, cellvol)
+    return X, V, cellvol
+
+
+def _grid_eval(spec, n=None):
+    """f0 at the centres of the n^{2d}-cell phase mesh, x-cells major, and
+    the cell volume.  The mesh is the outer product of its n^d x-cells and
+    n^d v-cells, so only the final values take n^{2d} memory."""
+    X, V, cellvol = _mesh(spec, n)
     return spec.density(X[:, None, :], V[None, :, :]).reshape(-1), cellvol
 
 

@@ -7,6 +7,14 @@ center, `phase.exact_step` with a negative time step, interpolates
 bilinearly (monotone, max-principle preserving), and multiplies by the
 growth factor e^{lam*dt}.  `phase.march` gives each step its time.
 lam = 0 (pure transport) is admitted here as a sanity case only.
+
+The feet and their bilinear stencil (four corner indices and weights per
+cell) depend only on the nodes, lam, dt and the field values at the x
+nodes.  A step reuses the previous step's stencil when all of those are
+equal, so a run under a field that does not change with t (every field
+the config offers) traces its feet once; the field is still evaluated on
+every step.  Applying a stencil sums the four corners in a fixed order
+from zero, so a reused stencil gives the same bits as a fresh one.
 """
 
 from __future__ import annotations
@@ -68,55 +76,86 @@ class PhaseGrid:
         return PhaseGrid(xc, vc, vals, 0.0, lam)
 
 
-def bilinear_sample(grid: PhaseGrid, xq, vq):
-    """Bilinear interpolation of grid.values at query points, zero outside
-    the cell-center lattice."""
+def _bilinear_stencil(grid: PhaseGrid, xq, vq):
+    """The four bilinear corners of each query point, in the order
+    (i, j), (i+1, j), (i, j+1), (i+1, j+1): flat indices into the cell
+    values with one zero cell appended (index n_x*n_v), and weights, each
+    of shape (4, n) for n query points.  A corner off the cell-center
+    lattice indexes the zero cell with weight 0, so it adds +0.0 whatever
+    the other cells hold."""
     x0, v0 = grid.x_nodes[0], grid.v_nodes[0]
     dx, dv = grid.dx, grid.dv
     n_x, n_v = grid.values.shape
-    gx = (xq - x0) / dx
-    gv = (vq - v0) / dv
+    gx = (np.ravel(xq) - x0) / dx
+    gv = (np.ravel(vq) - v0) / dv
     i = np.floor(gx).astype(np.int64)
     j = np.floor(gv).astype(np.int64)
     fx = gx - i
     fv = gv - j
-    out = np.zeros_like(gx)
-
-    def corner(ii, jj, w):
+    corners = [(i, j, (1 - fx) * (1 - fv)), (i + 1, j, fx * (1 - fv)),
+               (i, j + 1, (1 - fx) * fv), (i + 1, j + 1, fx * fv)]
+    index = np.empty((4, gx.size), dtype=np.intp)
+    weight = np.empty((4, gx.size))
+    for k, (ii, jj, w) in enumerate(corners):
         ok = (ii >= 0) & (ii < n_x) & (jj >= 0) & (jj < n_v)
-        if np.any(ok):
-            out[ok] += w[ok] * grid.values[ii[ok], jj[ok]]
+        index[k] = np.where(ok, ii * n_v + jj, n_x * n_v)
+        weight[k] = np.where(ok, w, 0.0)
+    return index, weight
 
-    corner(i, j, (1 - fx) * (1 - fv))
-    corner(i + 1, j, fx * (1 - fv))
-    corner(i, j + 1, (1 - fx) * fv)
-    corner(i + 1, j + 1, fx * fv)
+
+def _apply_stencil(stencil, values):
+    """Sum the weighted corner values of each query point, corner by
+    corner from zero."""
+    index, weight = stencil
+    cells = np.append(values.ravel(), 0.0)
+    out = np.zeros(index.shape[1])
+    for k in range(4):
+        out += weight[k] * cells[index[k]]
     return out
+
+
+def bilinear_sample(grid: PhaseGrid, xq, vq):
+    """Bilinear interpolation of grid.values at query points, zero outside
+    the cell-center lattice."""
+    out = _apply_stencil(_bilinear_stencil(grid, xq, vq), grid.values)
+    return out.reshape(np.shape(xq))
+
+
+# (key, stencil) of the last step: node arrays, lam, dt and the field
+# values at the x nodes, compared by value, so a field that changes with t
+# gets a new stencil and a run under a fixed field builds one.
+_last_stencil = None
 
 
 def semi_lagrangian_step(grid: PhaseGrid, E, dt, boundary_tol=1e-6):
     """One backward-characteristic step under the spatial field E(t, x).
 
-    E is a callable (t, x_array) -> array.  Feet landing outside the grid
-    contribute zero; if a non-negligible fraction of the solution sits on
-    the boundary ring, the resolution is declared insufficient.
+    E is a callable (t, x_array) -> array, evaluated on every step.  Feet
+    landing outside the grid contribute zero; if a non-negligible fraction
+    of the solution sits on the boundary ring, the resolution is declared
+    insufficient.
     """
+    global _last_stencil
     if not (dt > 0):
         raise InvalidInputError("dt must be positive")
-    X, V = np.meshgrid(grid.x_nodes, grid.v_nodes, indexing="ij")
     Ex = np.asarray(E(grid.t, grid.x_nodes), dtype=float)
     if Ex.shape != grid.x_nodes.shape:
         raise InvalidInputError("field evaluator must return one value per x node")
-    Eg = Ex[:, None]
     lam = grid.lam
-    if lam == 0.0:
-        v_back = V
-        x_back = X - V * dt
-        factor = 1.0
+    key = (grid.x_nodes.tobytes(), grid.v_nodes.tobytes(), float(lam), float(dt),
+           Ex.tobytes())
+    if _last_stencil is not None and _last_stencil[0] == key:
+        stencil = _last_stencil[1]
     else:
-        x_back, v_back = exact_step(X, V, Eg, lam, -dt)
-        factor = np.exp(lam * dt)  # e^{lam*d*dt} with d = 1
-    new_vals = factor * bilinear_sample(grid, x_back, v_back)
+        X, V = np.meshgrid(grid.x_nodes, grid.v_nodes, indexing="ij")
+        if lam == 0.0:
+            x_back, v_back = X - V * dt, V
+        else:
+            x_back, v_back = exact_step(X, V, Ex[:, None], lam, -dt)
+        stencil = _bilinear_stencil(grid, x_back, v_back)
+        _last_stencil = (key, stencil)
+    factor = 1.0 if lam == 0.0 else np.exp(lam * dt)  # e^{lam*d*dt} with d = 1
+    new_vals = factor * _apply_stencil(stencil, grid.values).reshape(grid.values.shape)
     new_grid = PhaseGrid(grid.x_nodes, grid.v_nodes, new_vals, grid.t + dt, lam)
     peak = new_vals.max() if new_vals.size else 0.0
     if peak > 0:

@@ -21,8 +21,8 @@ from .agents import cutoff_cs_rhs, integrate_agents, vicsek_step
 from .config import ScenarioConfig
 from .errors import ConfigError
 from .fixed_point import lipschitz_modulus, picard_solve
-from .kinetic import (InitialDistributionSpec, run_linear, run_self_consistent,
-                      sample_initial)
+from .kinetic import (InitialDistributionSpec, has_mass, rejection_sample, run_linear,
+                      run_self_consistent, sample_initial)
 from .oracle import PhaseGrid, oracle_lp_norm, run_oracle
 from .phase import AgentState, HeadingState, march
 
@@ -71,14 +71,15 @@ def oracle_field_from_config(cfg: ScenarioConfig):
 
 
 def sample_agents(cfg: ScenarioConfig, rng):
-    """Draw agents from the initial phase-space density with equal weights."""
+    """Draw agents from the initial phase-space density; they carry no
+    masses, so the mass quadrature only has to be nonzero."""
     spec = initial_spec_from_config(cfg)
-    spec.sampling = ("monte_carlo", cfg["n_agents"], None)
-    ens = sample_initial(spec, cfg["lam"], cfg["radius"], rng=rng)
-    if ens.n == 0 and cfg["n_agents"] > 0:
+    n = cfg["n_agents"]
+    if n > 0 and not has_mass(spec):
         raise ConfigError(f"the initial distribution has zero mass, so none of "
-                          f"the {cfg['n_agents']} agents can be drawn")
-    return AgentState(0.0, cfg["dim"], ens.x, ens.v), spec
+                          f"the {n} agents can be drawn")
+    x, v = rejection_sample(spec, n, rng)
+    return AgentState(0.0, cfg["dim"], x, v), spec
 
 
 def _ensemble_record(ens):

@@ -11,6 +11,7 @@ from kinflock.cli import main
 from kinflock.config import load_config, validate_config
 from kinflock.errors import ConfigError
 from kinflock.io import fmt
+from kinflock.kinetic import sample_initial
 
 
 def scenario_path(name):
@@ -280,7 +281,8 @@ class TestCli:
             data["initial"]["v_centers"] = vc
         validate_config(data)
 
-    @pytest.mark.parametrize("change", [{"amplitude": 0}, {"x_bounds": [[0.0, 0.0], [-0.3, 0.3]]}])
+    @pytest.mark.parametrize("change", [{"amplitude": 0}, {"x_bounds": [[0.0, 0.0], [-0.3, 0.3]]},
+                                        {"x_centers": [[60.0, 0.0]]}])
     def test_run_rejects_agents_drawn_from_zero_mass(self, tmp_path, capsys, change):
         data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
         data["initial"].update(change)
@@ -360,6 +362,38 @@ class TestCli:
         steps = sorted({int(step) for step, _ in rows})
         report = json.loads((out / "diagnostics.json").read_text())
         assert [r["t"] for r in report["records"]] == [k * dt for k in steps]
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("change", [{}, {"kind": "two_bump", "x_centers": [[0.1, 0.0]],
+                                             "v_centers": [[0.2, -0.3]]}], ids=["gaussian", "bump"])
+    def test_agents_are_the_kinetic_monte_carlo_draw(self, seed, change):
+        # the agents skip the mass quadrature but draw the same points
+        data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
+        data["initial"].update(change)
+        cfg = validate_config(dict(data, seed=seed))
+        state, _ = runner.sample_agents(cfg, cfg.seed_streams()[0])
+        spec = runner.initial_spec_from_config(cfg)
+        spec.sampling = ("monte_carlo", cfg["n_agents"], None)
+        ens = sample_initial(spec, cfg["lam"], cfg["radius"], rng=cfg.seed_streams()[0])
+        assert state.n == ens.n == 100
+        assert np.array_equal(state.positions, ens.x) and np.array_equal(state.velocities, ens.v)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_vicsek_requires_dt_one(self, tmp_path, capsys, command):
+        # a Vicsek step moves agents by `speed` whatever dt is, so dt = 0.5
+        # and t_final = 5 would run 10 steps and end at t = 10
+        data = json.loads(Path(scenario_path("vicsek_basic.json")).read_text())
+        data.update(dt=0.5, t_final=5)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: config key dt: 0.5 must be 1 for the "
+                                "vicsek model, whose agents move by `speed` once per step\n")
+        assert not out.exists()
 
     def test_validate_rejects_vicsek_outside_2d(self, tmp_path, capsys):
         data = json.loads(Path(scenario_path("vicsek_basic.json")).read_text())

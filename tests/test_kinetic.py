@@ -7,7 +7,7 @@ import pytest
 
 from kinflock import diagnostics as diag
 from kinflock.errors import InvalidInputError, InvariantViolationError
-from kinflock.kinetic import (InitialDistributionSpec, mean_field,
+from kinflock.kinetic import (InitialDistributionSpec, has_mass, mean_field,
                               moments_at_points, run_linear, run_self_consistent,
                               sample_initial, _grid_eval, _total_mass)
 from kinflock.phase import Ensemble, exact_step, march
@@ -173,6 +173,34 @@ class TestInitialMesh:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+def box_spec(amplitude, x_bounds=((0.0, 100.0),)):
+    return InitialDistributionSpec(kind="box_indicator", dim=1, amplitude=amplitude,
+                                   x_bounds=x_bounds, v_bounds=[[0.0, 100.0]])
+
+
+class TestHasMass:
+    @pytest.mark.parametrize("spec, mass", [
+        (mesh_spec("two_bump", 1), True),
+        (mesh_spec("product_gaussian_truncated", 2), True),
+        (mesh_spec("box_indicator", 3), True),
+        (box_spec(0.0), False),
+        (box_spec(1.0, x_bounds=[[0.5, 0.5]]), False),  # no cell volume
+        # the bumps' exp underflows to 0 everywhere on the boxes
+        (InitialDistributionSpec(kind="two_bump", dim=2, x_bounds=[[-1, 1], [-1, 1]],
+                                 v_bounds=[[-1, 1], [-1, 1]], x_centers=[[60.0, 0.0]],
+                                 v_centers=[[0.0, 0.0]]), False),
+        # every value * cellvol underflows, but their sum does not
+        (box_spec(5e-324), True),
+    ], ids=["two_bump-1d", "gaussian-2d", "box-3d", "amplitude-0", "empty-box",
+            "underflow", "subnormal"])
+    def test_decides_as_the_quadrature(self, spec, mass):
+        assert has_mass(spec) is mass
+        assert (_total_mass(spec) != 0.0) is mass
+        vals, cellvol = _grid_eval(spec)
+        if spec.amplitude == 5e-324:  # only the full sum can tell
+            assert vals.max() * cellvol == 0.0
 
 
 class TestEnsembleSteps:

@@ -1,15 +1,66 @@
 import numpy as np
 import pytest
 
+from kinflock import oracle
 from kinflock.errors import InvalidInputError, ResolutionError
 from kinflock.oracle import (PhaseGrid, bilinear_sample, oracle_lp_norm,
                              oracle_moments, quadrature_pushforward, run_oracle,
                              semi_lagrangian_step)
+from kinflock.phase import exact_step
 
 
 def gaussian_grid(n=96, sigma=0.4, x_half=3.0, v_max=3.0, lam=1.0):
     f0 = lambda x, v: np.exp(-(x ** 2 + v ** 2) / (2 * sigma ** 2))
     return PhaseGrid.from_function(f0, -x_half, x_half, n, v_max, n, lam)
+
+
+def bilinear_reference(grid, xq, vq):
+    """Reference: bilinear interpolation corner by corner, skipping the
+    corners off the lattice, as the oracle computed it before it kept a
+    stencil."""
+    x0, v0 = grid.x_nodes[0], grid.v_nodes[0]
+    dx, dv = grid.dx, grid.dv
+    n_x, n_v = grid.values.shape
+    gx = (xq - x0) / dx
+    gv = (vq - v0) / dv
+    i = np.floor(gx).astype(np.int64)
+    j = np.floor(gv).astype(np.int64)
+    fx = gx - i
+    fv = gv - j
+    out = np.zeros_like(gx)
+
+    def corner(ii, jj, w):
+        ok = (ii >= 0) & (ii < n_x) & (jj >= 0) & (jj < n_v)
+        if np.any(ok):
+            out[ok] += w[ok] * grid.values[ii[ok], jj[ok]]
+
+    corner(i, j, (1 - fx) * (1 - fv))
+    corner(i + 1, j, fx * (1 - fv))
+    corner(i, j + 1, (1 - fx) * fv)
+    corner(i + 1, j + 1, fx * fv)
+    return out
+
+
+def step_reference(grid, E, dt):
+    """Reference: the values after one backward-characteristic step, with
+    the feet traced and the corners weighted afresh."""
+    X, V = np.meshgrid(grid.x_nodes, grid.v_nodes, indexing="ij")
+    Eg = np.asarray(E(grid.t, grid.x_nodes), dtype=float)[:, None]
+    if grid.lam == 0.0:
+        return bilinear_reference(grid, X - V * dt, V)
+    x_back, v_back = exact_step(X, V, Eg, grid.lam, -dt)
+    return np.exp(grid.lam * dt) * bilinear_reference(grid, x_back, v_back)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+FIELDS = {
+    "zero": lambda t, x: np.zeros_like(x),
+    "constant": lambda t, x: np.full_like(x, 0.5),
+    "tanh": lambda t, x: 0.5 * np.tanh(x / 1.0),
+}
 
 
 class TestPhaseGrid:
@@ -99,6 +150,45 @@ class TestSemiLagrangianStep:
             semi_lagrangian_step(g, lambda t, x: np.zeros(3), 0.1)
         with pytest.raises(InvalidInputError):
             semi_lagrangian_step(g, lambda t, x: 0 * x, 0.0)
+
+
+class TestStencilReuse:
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("inf_cell", [False, True])
+    def test_steps_match_the_per_corner_reference(self, field, lam, inf_cell):
+        # v_max = 4 and dt = 0.3 put many feet off the grid.  An inf in
+        # cell (0, 0), the first flat index, must not reach the cells whose
+        # corners are off the lattice; one in the middle spreads.
+        g = PhaseGrid.from_function(lambda x, v: np.exp(-(x ** 2 + v ** 2)),
+                                    -2, 2, 40, 4, 36, lam)
+        if inf_cell:
+            g.values[0, 0] = g.values[20, 18] = np.inf
+        E = FIELDS[field]
+        for _ in range(3):
+            want = step_reference(g, E, 0.3)
+            g = semi_lagrangian_step(g, E, 0.3, boundary_tol=np.inf)
+            assert same_bits(g.values, want)
+        assert (g.values == 0).sum() > 100
+        assert np.isinf(g.values).sum() > 1 if inf_cell else np.isfinite(g.values).all()
+
+    def test_a_field_that_changes_with_t_is_traced_every_step(self):
+        E = lambda t, x: np.sin(3.0 * t) * np.tanh(x)
+        g = gaussian_grid(n=48, sigma=0.5)
+        for _ in range(6):
+            want = step_reference(g, E, 0.1)
+            g = semi_lagrangian_step(g, E, 0.1, boundary_tol=np.inf)
+            assert same_bits(g.values, want)
+
+    def test_a_run_under_a_fixed_field_builds_one_stencil(self, monkeypatch):
+        calls = []
+        build = oracle._bilinear_stencil
+        monkeypatch.setattr(oracle, "_bilinear_stencil",
+                            lambda *a: calls.append(1) or build(*a))
+        monkeypatch.setattr(oracle, "_last_stencil", None)
+        g = gaussian_grid(n=48)
+        snaps, _ = run_oracle(g, FIELDS["tanh"], T=0.5, dt=0.1)
+        assert len(snaps) == 6 and len(calls) == 1
 
 
 class TestNorms:

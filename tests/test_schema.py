@@ -204,11 +204,33 @@ def test_integers_are_ints_and_numbers_are_finite(data, key):
         check_schema(data, schema)
 
 
+def _fresh_interpreter(code, **env):
+    """Standard output of `python -c code` with kinflock on the path and
+    OPENBLAS_NUM_THREADS unset unless given in env."""
+    src = str(Path(kinflock.__file__).resolve().parents[1])
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**environ, "PYTHONPATH": src, **env},
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def test_importing_the_cli_loads_neither_scipy_nor_jsonschema():
     # jsonschema is a test-only dependency, and no run needs scipy
-    src = str(Path(kinflock.__file__).resolve().parents[1])
     code = ("import sys, kinflock.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
             "in {'scipy', 'jsonschema', 'referencing', 'rpds', 'attrs'}))")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_interpreter(code) == "[]"
+    # the package loads no numpy, so kinflock.cli, imported after it, runs
+    # before numpy loads
+    code = "import sys, kinflock; print('numpy' in sys.modules, kinflock.Ensemble.__module__)"
+    assert _fresh_interpreter(code) == "False kinflock.phase"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
+                         ids=["unset", "two"])
+def test_the_cli_runs_one_blas_thread_unless_told_otherwise(env, threads):
+    # numpy is loaded (kinflock.config imports it), and OpenBLAS starts one
+    # worker thread per BLAS thread after the first, at most one per CPU
+    code = "import os, sys, kinflock.cli; print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))"
+    threads = min(threads, len(os.sched_getaffinity(0)))
+    assert _fresh_interpreter(code, **env) == f"True {threads}"
