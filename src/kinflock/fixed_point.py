@@ -66,18 +66,22 @@ class FieldGrid:
         """Interpolated field at time t and points X (N, d): the 2^(d+1)
         corners of each clamped query's node cell, weighted by prod(1-y or y);
         an axis with a single node contributes it with weight 1.  t is one
-        time for every row or an (N,) array of times, one per row; each row
-        is computed on its own, so both give the same bits."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        t = np.broadcast_to(np.asarray(t, dtype=float), (len(X),))
-        coords = [t] + [X[:, k] for k in range(self.dim)]
+        time for every row, whose cell and weights are found once, or an
+        (N,) array of times, one per row; each row is computed on its own,
+        so both give the same bits."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise InvalidInputError(f"points have shape {X.shape}, expected (N, {self.dim})")
+        t = np.asarray(t, dtype=float)
+        if t.shape not in ((), (len(X),)):
+            raise InvalidInputError(f"times have shape {t.shape}, expected () or ({len(X)},)")
         corners = []
-        for nodes, q in zip((self.times,) + self.axes, coords):
-            q = np.clip(q, nodes[0], nodes[-1])
+        for nodes, q in zip((self.times,) + self.axes, (t, *X.T)):
             if len(nodes) == 1:
-                corners.append([(np.zeros(len(q), dtype=np.intp), 1.0)])
+                corners.append([(0, 1.0)])
                 continue
-            i = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, len(nodes) - 2)
+            q = np.minimum(np.maximum(q, nodes[0]), nodes[-1])
+            i = np.minimum(np.maximum(nodes.searchsorted(q, "right") - 1, 0), len(nodes) - 2)
             y = (q - nodes[i]) / (nodes[i + 1] - nodes[i])
             corners.append([(i, 1.0 - y), (i + 1, y)])
         out = np.zeros((len(X), self.dim))

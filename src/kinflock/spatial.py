@@ -5,7 +5,8 @@ evaluated in that order on every path.  `neighborhood_sums` keeps no index
 object: in 1D a centre's neighbours are a run of the sorted points, and in
 2D and 3D they are looked for in the 3^d cells of size r around the
 centre's cell.  Sums are exact and rounded once (kinflock.limbs): they
-depend on the neighbour set alone.
+depend on the neighbour set alone.  Both paths take the weights' limbs
+limb-major, (L, n, k), and return limb sums (L, m, k) for `limbs.rounded`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def neighborhood_sums(points, centers, r, weights):
         points = points.reshape(-1, 1)
     if points.size == 0:
         points = points.reshape(0, points.shape[1])
-    if not np.all(np.isfinite(points)):
+    if not np.isfinite(points).all():
         raise InvalidInputError("points must be finite")
     dim = points.shape[1]
     if not (r > 0):
@@ -75,32 +76,34 @@ def neighborhood_sums(points, centers, r, weights):
     if not (len(points) and m):
         return np.zeros((m, k))
     parts, base = limbs.split(weights)
-    parts = parts.reshape(len(weights), -1)
     if dim == 1:
         total = _interval_sums(points[:, 0], centers[:, 0], r, parts)
     else:
         total = _block_sums(points, centers, r, parts)
-    return limbs.rounded(total.reshape(m, k, -1), base)
+    return limbs.rounded(total, base)
 
 
 def _interval_sums(points, c, r, parts):
-    """1D limb sums (m, K) of parts (n, K) over each neighbourhood, as
-    differences of prefix sums.  Rounding is monotone, so the neighbours
-    of c are the sorted points x[lo:hi]: lo is the first index where
-    inside(x) or x >= c, hi the first where neither inside(x) nor x < c.
-    Both tests go from false to true along x (the sentinels fail and
-    pass both).  searchsorted on c -+ r finds the edges up to rounding;
-    each then moves over whole runs of equal coordinates until its test
-    fails just below it and holds at it."""
+    """1D limb sums (L, m, k) of limb-major parts (L, n, k) over each
+    neighbourhood, as differences of prefix sums along the point axis.
+    Rounding is monotone, so the neighbours of c are the sorted points
+    x[lo:hi]: lo is the first index where inside(x) or x >= c, hi the
+    first where neither inside(x) nor x < c.  Both tests go from false to
+    true along x (the sentinels fail and pass both).  searchsorted on
+    c -+ r finds the edges up to rounding; each then moves over whole runs
+    of equal coordinates until its test fails just below it and holds at
+    it."""
     order = points.argsort()
     x = np.empty(len(order) + 2)  # the sorted points between -inf and +inf
     x[0], x[-1] = -np.inf, np.inf
-    np.take(points, order, out=x[1:-1])
-    prefix = np.zeros((len(parts) + 2, parts.shape[1]), np.int64)
-    parts[order].cumsum(axis=0, out=prefix[2:])
+    points.take(order, out=x[1:-1])
+    n_limbs, n, k = parts.shape
+    prefix = np.zeros((n_limbs, n + 2, k), np.int64)
+    np.add.accumulate(parts.take(order, axis=1), axis=1, out=prefix[:, 2:])
     r2 = r * r
     # (2, m): lo and hi, as indices into x and into prefix, whose row
-    # j + 1 sums the first j points; c - r may overflow to -inf
+    # j + 1 along the point axis sums the first j points; c - r may
+    # overflow to -inf
     edge = np.maximum(x.searchsorted(c + _SIDES * r), 1)
     c = c[:, None]
     while True:
@@ -113,16 +116,17 @@ def _interval_sums(points, c, r, parts):
         down, up = test[..., 0], ~test[..., 1]
         edge[up] = x.searchsorted(near[..., 1][up], "right")
         edge[down] = x.searchsorted(near[..., 0][down], "left")
-    lo, hi = prefix[edge]
-    return hi - lo
+    lo, hi = edge
+    return prefix.take(hi, axis=1) - prefix.take(lo, axis=1)
 
 
 def _block_sums(points, centers, r, parts):
-    """2D/3D limb sums (m, K) of parts (n, K) over each neighbourhood.
-    Centres, grouped by their cell of size r, meet the points of the 3^d
-    cells around it in blocks of at most PAIR_BLOCK pairs, and a block's
-    0/1 hit matrix times the candidates' limbs sums its hits.  Every
-    partial sum is an integer below 2**53, so it is exact in any order."""
+    """2D/3D limb sums (L, m, k) of limb-major parts (L, n, k) over each
+    neighbourhood.  Centres, grouped by their cell of size r, meet the
+    points of the 3^d cells around it in blocks of at most PAIR_BLOCK
+    pairs, and a block's 0/1 hit matrix times the candidates' limbs (rows
+    of one (n, L*k) float copy of the parts) sums its hits.  Every partial
+    sum is an integer below 2**53, so it is exact in any order."""
     keys = np.floor(points / r).astype(np.int64)
     order, starts = _group_rows(keys)
     cells = {tuple(keys[order[a]]): order[a:b] for a, b in zip(starts[:-1], starts[1:])}
@@ -130,8 +134,9 @@ def _block_sums(points, centers, r, parts):
         keys = np.floor(centers / r).astype(np.int64)
         order, starts = _group_rows(keys)
     stencil = list(itertools.product((-1, 0, 1), repeat=points.shape[1]))
-    parts = parts.astype(float)
-    total = np.zeros((len(centers), parts.shape[1]))
+    n_limbs, n, k = parts.shape
+    parts = parts.transpose(1, 0, 2).astype(float, order="C").reshape(n, n_limbs * k)
+    total = np.zeros((len(centers), n_limbs * k))
     r2 = r * r
     for a, b in zip(starts[:-1], starts[1:]):
         key = keys[order[a]].tolist()
@@ -146,13 +151,13 @@ def _block_sums(points, centers, r, parts):
             rows = order[lo:min(lo + step, b)]
             d2 = np.subtract.outer(centers[rows, 0], pc[:, 0])
             d2 *= d2
-            for k in range(1, points.shape[1]):  # added in brute_force_radius's order
-                diff = np.subtract.outer(centers[rows, k], pc[:, k])
+            for axis in range(1, points.shape[1]):  # added in brute_force_radius's order
+                diff = np.subtract.outer(centers[rows, axis], pc[:, axis])
                 diff *= diff
                 d2 += diff
             np.less(d2, r2, out=d2)  # 1.0 for a neighbour, 0.0 otherwise
             total[rows] = d2 @ wc
-    return total
+    return total.reshape(len(centers), n_limbs, k).transpose(1, 0, 2)
 
 
 def brute_force_radius(positions, center, r):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,71 @@ def test_evaluate_with_a_time_per_row_equals_scalar_calls(n_nodes):
     rows = np.concatenate([E.evaluate(tk, xk[None]) for tk, xk in zip(t, X)])
     assert E.evaluate(t, X).tobytes() == rows.tobytes()
     assert E.evaluate(t[0], X).tobytes() == E.evaluate(np.full(60, t[0]), X).tobytes()
+
+
+def _evaluate_broadcast(grid, t, X):
+    """The former FieldGrid.evaluate: a scalar t broadcast to one time per
+    row, every axis clamped with np.clip."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    t = np.broadcast_to(np.asarray(t, dtype=float), (len(X),))
+    coords = [t] + [X[:, k] for k in range(grid.dim)]
+    corners = []
+    for nodes, q in zip((grid.times,) + grid.axes, coords):
+        q = np.clip(q, nodes[0], nodes[-1])
+        if len(nodes) == 1:
+            corners.append([(np.zeros(len(q), dtype=np.intp), 1.0)])
+            continue
+        i = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, len(nodes) - 2)
+        y = (q - nodes[i]) / (nodes[i + 1] - nodes[i])
+        corners.append([(i, 1.0 - y), (i + 1, y)])
+    out = np.zeros((len(X), grid.dim))
+    for corner in itertools.product(*corners):
+        weight = np.ones(len(X))
+        for _, w in corner:
+            weight = weight * w
+        out = out + grid.values[tuple(i for i, _ in corner)] * weight[:, None]
+    return out
+
+
+@pytest.mark.parametrize("n_nodes", GRID_SHAPES)
+def test_evaluate_equals_the_broadcast_evaluate(n_nodes):
+    # scalar times at a node, between nodes, before t0 and after T, and
+    # per-row times, at points inside and outside the box: same bits
+    rng = np.random.default_rng(100 + len(n_nodes) * 10 + sum(n_nodes))
+    dim = len(n_nodes) - 1
+    E = _random_grid(rng, dim, n_nodes)
+    X = rng.uniform(-3.0, 3.0, (80, dim))
+    X[:4] = [a[0] for a in E.axes]
+    X[4:8] = [a[-1] for a in E.axes]
+    t0, t1 = E.times[0], E.times[-1]
+    scalars = [t0, t1, E.times[len(E.times) // 2], 0.5 * (t0 + t1), t0 - 0.7, t1 + 0.7,
+               np.nextafter(t0, -np.inf), np.nextafter(t1, np.inf)]
+    if len(E.times) > 1:
+        scalars.append(0.25 * E.times[0] + 0.75 * E.times[1])
+    for t in scalars:
+        assert E.evaluate(t, X).tobytes() == _evaluate_broadcast(E, t, X).tobytes(), t
+    per_row = rng.uniform(t0 - 1.0, t1 + 1.0, len(X))
+    per_row[:len(E.times)] = E.times[:len(X)]
+    assert E.evaluate(per_row, X).tobytes() == _evaluate_broadcast(E, per_row, X).tobytes()
+    empty = np.zeros((0, dim))
+    assert E.evaluate(t0, empty).shape == (0, dim)
+
+
+@pytest.mark.parametrize("n_nodes, X", [
+    ((3, 6), [[0.2, 99.0]]), ((3, 4, 5), [[0.2, 0.1, 99.0]]), ((3, 4, 5), [[0.2], [0.3]]),
+    ((3, 4, 5), []), ((3, 4, 5), [0.2]), ((3, 4, 5), [[[0.2]]])])
+def test_evaluate_rejects_points_that_are_not_n_by_dim(n_nodes, X):
+    # extra columns were ignored and missing ones raised IndexError
+    E = _random_grid(np.random.default_rng(3), len(n_nodes) - 1, n_nodes)
+    with pytest.raises(InvalidInputError, match="points have shape"):
+        E.evaluate(0.5, X)
+
+
+@pytest.mark.parametrize("t", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros((1, 3))])
+def test_evaluate_rejects_times_that_are_not_scalar_or_one_per_row(t):
+    E = _random_grid(np.random.default_rng(5), 1, (3, 6))
+    with pytest.raises(InvalidInputError, match="times have shape"):
+        E.evaluate(t, np.zeros((3, 1)))
 
 
 def _lipschitz_modulus_per_pair(grid, sample_pairs, rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kinflock import spatial
+from kinflock import limbs, spatial
 from kinflock.errors import InvalidInputError
 from kinflock.spatial import brute_force_radius, neighborhood_sums
 
@@ -309,3 +309,83 @@ def test_neighborhood_sums_reuse_the_index_grouping_for_its_own_points(case, mon
     groupings = 1 if pts.shape[1] > 1 else 0
     assert (calls_for_copy, len(calls) - calls_for_copy) == (2 * groupings, groupings)
     assert got.tobytes() == want.tobytes()
+
+
+def _split_limb_last(weights):
+    """The former limbs.split: the same limbs with the limb axis last,
+    (n, k, L), from masked reductions."""
+    mant, exp = np.frexp(weights)
+    m = (mant * 2.0 ** 53).astype(np.int64)
+    live = m != 0
+    low = np.minimum.reduce(exp, axis=0, where=live, initial=1 << 20).astype(np.int64)
+    s = exp - low
+    shift = s[..., None] - limbs._LIMB_BITS[:int(s.max(where=live, initial=0)) // limbs.BITS + 3]
+    parts = (m[..., None] << np.maximum(shift, 0)) >> np.maximum(-shift, 0)
+    parts[..., :-1] &= limbs.MASK
+    return parts, low - 53
+
+
+def _limb_cases():
+    rng = np.random.default_rng(50)
+    cases = [pytest.param(_adversarial_weights(rng, 600), id="adversarial")]
+    cases += [pytest.param(_signed_weights(rng, n, k), id=f"signed-{n}x{k}")
+              for k in (1, 2, 3, 4) for n in (1, 2, 300)]
+    wide = rng.normal(size=(40, 3))
+    wide[:, 1] = 0.0  # an all-zero column
+    wide[::2, 2] = 5e-324  # about 83 limbs: 5e-324 and 1.7e308 in one column
+    wide[1::2, 2] = 1.7e308
+    cases += [pytest.param(w, id=name) for name, w in [
+        ("zero-and-widest-columns", wide), ("zero-and-widest-n1", wide[:1]),
+        ("zero-and-widest-n2", wide[:2]), ("all-zero", np.zeros((2, 2))),
+        ("tiny-and-huge-n1", np.array([[5e-324, -1.7e308]]))]]
+    return cases
+
+
+def _check_split(weights):
+    """split(weights) is the limb-last split transposed to (L, n, k), bit
+    for bit, with the same base."""
+    got, base = limbs.split(weights)
+    want, want_base = _split_limb_last(weights)
+    assert got.dtype == np.int64 and got.shape == want.shape[2:] + want.shape[:2]
+    assert got.tobytes() == np.ascontiguousarray(want.transpose(2, 0, 1)).tobytes()
+    assert base.tobytes() == want_base.tobytes()
+
+
+def _check_rounded(weights):
+    """rounded, on the exact limb sums over all rows, no row and three
+    random subsets of rows, gives math.fsum's value of each subset."""
+    parts, base = limbs.split(weights)
+    masks = np.random.default_rng(len(weights)).random((5, len(weights))) < 0.5
+    masks[0], masks[1] = True, False
+    sums = np.stack([parts[:, mask].sum(axis=1) for mask in masks], axis=1)  # (L, 5, k)
+    with np.errstate(over="ignore"):  # sums beyond the double range round to +-inf
+        got = limbs.rounded(sums, base)
+    want = np.array([[correctly_rounded(weights[mask, c]) for c in range(weights.shape[1])]
+                     for mask in masks])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("weights", _limb_cases())
+def test_split_is_the_limb_last_split_transposed(weights):
+    _check_split(weights)
+
+
+def test_split_takes_83_limbs_for_the_widest_column():
+    assert len(limbs.split(np.array([[5e-324], [1.7e308]]))[0]) == 83
+
+
+@pytest.mark.parametrize("weights", _limb_cases())
+def test_rounded_limb_sums_are_correctly_rounded(weights):
+    _check_rounded(weights)
+
+
+_FINITE_BITS = st.integers(0, (1 << 64) - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 4), data=st.data())
+def test_property_split_and_rounded_on_random_bit_patterns(n, k, data):
+    bits = data.draw(st.lists(_FINITE_BITS, min_size=n * k, max_size=n * k))
+    weights = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, k)
+    _check_split(weights)
+    _check_rounded(weights)
