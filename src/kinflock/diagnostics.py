@@ -4,18 +4,23 @@ Every check is a pure function returning a CheckResult with the measured
 value, the tolerance it was held to, and a pass flag; the report object
 aggregates per-snapshot time series plus the assertion outcomes and
 serializes to JSON/CSV.
+
+The oracle helpers and `moments_at_points` are imported where they are
+called, so a run loads `oracle` only if it makes grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .kinetic import moments_at_points
-from .oracle import PhaseGrid, oracle_lp_norm, quadrature_pushforward
 from .phase import AgentState, Ensemble
+
+if TYPE_CHECKING:
+    from .oracle import PhaseGrid
 
 
 @dataclass
@@ -53,10 +58,11 @@ def _masses(trajectory):
     for snap in trajectory:
         if isinstance(snap, Ensemble):
             out.append((snap.t, snap.total_mass))
-        elif isinstance(snap, PhaseGrid):
-            out.append((snap.t, snap.total_mass()))
-        else:
+            continue
+        from .oracle import PhaseGrid
+        if not isinstance(snap, PhaseGrid):
             raise InvalidInputError(f"unsupported snapshot type {type(snap)!r}")
+        out.append((snap.t, snap.total_mass()))
     return out
 
 
@@ -122,11 +128,14 @@ def check_oracle_sup(trajectory, tol=1e-9):
     return CheckResult("sup_growth_bound", worst, tol, worst <= tol)
 
 
-def fit_lp_exponent(trajectory, p):
-    """Least-squares slope of log ||f(t)||_p versus t for a grid run."""
+def fit_lp_exponent(trajectory, p, norms=None):
+    """Least-squares slope of log ||f(t)||_p versus t for a grid run;
+    norms, the L^p norm of each snapshot, are computed if not given."""
+    if norms is None:
+        from .oracle import oracle_lp_norm
+        norms = [oracle_lp_norm(snap, p) for snap in trajectory]
     ts, logs = [], []
-    for snap in trajectory:
-        norm = oracle_lp_norm(snap, p)
+    for snap, norm in zip(trajectory, norms):
         if norm > 0:
             ts.append(snap.t)
             logs.append(np.log(norm))
@@ -136,13 +145,15 @@ def fit_lp_exponent(trajectory, p):
     return float(slope)
 
 
-def check_lp_law(trajectory, p_list, lam, d=1, rel_tol=0.05, abs_tol=1e-3):
+def check_lp_law(trajectory, p_list, lam, d=1, rel_tol=0.05, abs_tol=1e-3, norms=None):
     """Fitted growth exponents of the linear grid run against
-    lam*d*(p-1)/p; p = 1 is held to an absolute tolerance (target 0)."""
+    lam*d*(p-1)/p; p = 1 is held to an absolute tolerance (target 0).
+    norms maps each p to the L^p norm of each snapshot, as a run records
+    them; they are computed if not given."""
     results = []
     for p in p_list:
         target = lam * d * (p - 1) / p
-        slope = fit_lp_exponent(trajectory, p)
+        slope = fit_lp_exponent(trajectory, p, None if norms is None else norms[p])
         if target == 0.0:
             err = abs(slope)
             results.append(CheckResult(f"lp_law_p{p}", err, abs_tol, err <= abs_tol,
@@ -195,6 +206,7 @@ def pushforward_sum(ensemble: Ensemble, phi):
 def check_pushforward(ens_final: Ensemble, grid_final: PhaseGrid, phis, rel_tol=0.02):
     """Particle pushforward sums against oracle quadrature for matched
     linear runs, one check per test function."""
+    from .oracle import quadrature_pushforward
     results = []
     for name, phi_p, phi_g in phis:
         a = pushforward_sum(ens_final, phi_p)
@@ -269,6 +281,7 @@ def _diameter(pts, chunk=512):
 def meanfield_distance(agents: AgentState, kinetic: Ensemble, probe_points, r):
     """L1-over-probe-grid distance between mass-normalized (rho_r, j_r)
     moment fields of the empirical agent measure and the kinetic ensemble."""
+    from .kinetic import moments_at_points
     probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
     n = agents.n
     agent_ens = Ensemble(

@@ -69,15 +69,16 @@ _LIMB_BITS = BITS * np.arange((1024 + 1073) // BITS + 3)
 
 
 def _carry(d):
-    """Propagate carries in place along axis 0 until every limb but the top
+    """Propagate carries in place along axis 0 so that every limb but the top
     one lies in [0, 2**26): two's complement with the sign in the top limb.
-    The value sum_l d[l] * 2**(26*l) is unchanged."""
-    while True:
-        c = d[:-1] >> _BITS
-        if not np.count_nonzero(c):
-            return
-        d[:-1] &= _MASK
-        d[1:] += c
+    The value sum_l d[l] * 2**(26*l) is unchanged.  One sweep upward
+    suffices however far a carry ripples (a negative sum's -1 runs through
+    every zero limb above it), as each limb takes its carry in before it
+    passes its carry out."""
+    for limb, above in zip(d[:-1], d[1:]):
+        c = limb >> _BITS
+        limb &= _MASK
+        above += c
 
 
 def rounded(sums, base):
@@ -102,7 +103,7 @@ def rounded(sums, base):
     # sign, 0 or -1
     d = np.zeros((n_limbs + 6, m * k), np.int64)
     d[4:-2] = sums.reshape(n_limbs, m * k)
-    _carry(d)
+    _carry(d[4:])
     sign = d[-1]
     differs = d[:-1] != (sign & MASK)  # limbs that are not all sign bits
     differs[0] = True  # so that top = 0 for a zero sum

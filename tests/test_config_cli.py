@@ -1,12 +1,16 @@
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kinflock import cli, runner
+from kinflock import cli, diagnostics, oracle, runner
 from kinflock.cli import main
 from kinflock.config import load_config, validate_config
 from kinflock.errors import ConfigError
@@ -576,3 +580,104 @@ class TestCli:
             "metadata/picard/converged: True vs False",
             "metadata/picard/residual_history: [0.5, nan] vs [0.5, nan, 0.0]",
             "metadata/solver present in only one report"]
+
+
+# --- start-up: a run loads only the code its mode executes -------------------
+
+LAZY_MODULES = ["kinflock.agents", "kinflock.fixed_point", "kinflock.oracle",
+                "logging", "numpy.random"]
+
+
+def _lazy_modules_loaded(code):
+    """The LAZY_MODULES loaded once `code` has run in a fresh interpreter."""
+    src = str(Path(cli.__file__).parents[1])
+    code += ("\nimport sys\n"
+             f"print(*[m for m in {LAZY_MODULES!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()[-1].split()
+
+
+def test_import_loads_no_solver_module_random_or_logging():
+    assert _lazy_modules_loaded("import kinflock.cli") == []
+
+
+def _monte_carlo_kinetic():
+    data = minimal_kinetic()
+    data["initial"]["sampling"] = {"kind": "monte_carlo", "n": 64}
+    return data
+
+
+@pytest.mark.parametrize("data, loaded", [
+    pytest.param(minimal_kinetic(), [], id="kinetic-tensor-grid"),
+    pytest.param(_monte_carlo_kinetic(), ["numpy.random"], id="kinetic-monte-carlo"),
+    pytest.param(small_agents("cutoff_cs", {"kind": "indicator"}),
+                 ["kinflock.agents", "numpy.random"], id="agents"),
+    pytest.param({"mode": "agents", "model": "vicsek", "dim": 2, "lam": 1.0, "radius": 0.3,
+                  "dt": 1.0, "t_final": 2.0, "n_agents": 30},
+                 ["kinflock.agents", "numpy.random"], id="vicsek"),
+    pytest.param(oracle_l2({"kind": "zero"}), ["kinflock.oracle"], id="oracle"),
+    # lipschitz_modulus draws its sample pairs from numpy.random
+    pytest.param(minimal_kinetic(mode="picard", delta=0.1,
+                                 picard={"n_time_nodes": 3, "n_space_nodes": 5}),
+                 ["kinflock.fixed_point", "numpy.random"], id="picard"),
+])
+def test_each_mode_loads_its_own_solver_module(tmp_path, data, loaded):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code = ("import kinflock.cli\n"
+            f"assert kinflock.cli.main(['run', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert _lazy_modules_loaded(code) == loaded
+
+
+def test_oracle_run_computes_each_lp_norm_once(tmp_path, monkeypatch):
+    # the records and the lp_law fit share one norm per snapshot and p
+    calls = []
+
+    def counted(grid, p, real=oracle.oracle_lp_norm):
+        calls.append(p)
+        return real(grid, p)
+
+    monkeypatch.setattr(oracle, "oracle_lp_norm", counted)
+    out = tmp_path / "out"
+    assert main(["run", "--config", scenario_path("oracle_l2.json"), "--out", str(out)]) == 0
+    report = json.loads((out / "diagnostics.json").read_text())
+    assert "lp_law_p4" in [c["name"] for c in report["assertions"]]
+    assert sorted(calls) == sorted([1, 2, 4] * len(report["records"]))
+
+
+def _assertion_names(out):
+    report = json.loads((out / "diagnostics.json").read_text())
+    return [c["name"] for c in report["assertions"]]
+
+
+def test_large_dt_kinetic_run_warns_instead_of_failing_the_support_check(
+        tmp_path, caplog, monkeypatch):
+    # the exact step keeps every speed within M0 at any dt, so the check is
+    # made to fail here
+    def failing_check(trajectory, m0, tol):
+        return diagnostics.CheckResult("velocity_support_bound", m0 + 1.0, m0 + tol, False)
+
+    monkeypatch.setattr(diagnostics, "check_support", failing_check)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(minimal_kinetic(dt=2.0, t_final=4.0, allow_large_dt=True)))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="kinflock.runner"):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "support bound exceeded under allow_large_dt" in caplog.text
+    assert "velocity_support_bound" not in _assertion_names(out)
+    assert "mass_conservation" in _assertion_names(out)
+
+
+def test_large_dt_agent_run_warns_instead_of_failing_the_max_principle(tmp_path, caplog):
+    # explicit Euler at lam*dt = 2.5 overshoots: v + 2.5*(ubar - v)
+    data = small_agents("cutoff_cs", {"kind": "indicator"})
+    data.update(integrator="explicit_euler", dt=2.5, t_final=5.0, allow_large_dt=True)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="kinflock.runner"):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "agent max principle exceeded under allow_large_dt" in caplog.text
+    assert _assertion_names(out) == []

@@ -13,7 +13,7 @@ from kinflock.diagnostics import (DiagnosticsReport, check_density_growth,
                                   pushforward_sum)
 from kinflock.errors import InvalidInputError
 from kinflock.kinetic import run_linear, run_self_consistent
-from kinflock.oracle import PhaseGrid, run_oracle
+from kinflock.oracle import PhaseGrid, oracle_lp_norm, run_oracle
 from kinflock.phase import AgentState, Ensemble
 
 
@@ -115,6 +115,12 @@ class TestOracleChecks:
         assert all(r.passed for r in results)
         by_name = {r.name: r for r in results}
         assert by_name["lp_law_p2.0"].detail["target"] == pytest.approx(0.5)
+
+    def test_lp_law_fits_the_recorded_norms(self):
+        snaps, _ = run_oracle(self.g, lambda t, x: 0 * x, T=0.5, dt=0.1)
+        norms = {p: [oracle_lp_norm(g, p) for g in snaps] for p in (1.0, 2.0)}
+        assert (check_lp_law(snaps, [1.0, 2.0], lam=1.0, norms=norms)
+                == check_lp_law(snaps, [1.0, 2.0], lam=1.0))
 
 
 class TestParticleLp:
