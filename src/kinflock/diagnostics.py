@@ -5,6 +5,11 @@ value, the tolerance it was held to, and a pass flag; the report object
 aggregates per-snapshot time series plus the assertion outcomes and
 serializes to JSON/CSV.
 
+The scalar checks (mass, speed support, grid sup bound, L^p law and L^p
+inequality) take the per-snapshot series a run records: times, masses,
+speed maxima, sup values and {p: norm per snapshot}.  The per-particle
+laws (pointwise growth, phase volume) take the snapshots themselves.
+
 The oracle helpers and `moments_at_points` are imported where they are
 called, so a run loads `oracle` only if it makes grids.
 """
@@ -53,40 +58,23 @@ class DiagnosticsReport:
         }
 
 
-def _masses(trajectory):
-    out = []
-    for snap in trajectory:
-        if isinstance(snap, Ensemble):
-            out.append((snap.t, snap.total_mass))
-            continue
-        from .oracle import PhaseGrid
-        if not isinstance(snap, PhaseGrid):
-            raise InvalidInputError(f"unsupported snapshot type {type(snap)!r}")
-        out.append((snap.t, snap.total_mass()))
-    return out
-
-
-def check_mass(trajectory, tol=1e-12):
-    """Relative drift of the total mass over the run."""
-    if len(trajectory) < 2:
+def check_mass(masses, tol=1e-12):
+    """Relative drift of the total mass over a run's per-snapshot masses."""
+    if len(masses) < 2:
         raise InvalidInputError("need at least 2 snapshots")
-    tm = _masses(trajectory)
-    m0 = tm[0][1]
+    m0 = masses[0]
     if m0 == 0.0:
-        drift = max(abs(m) for _, m in tm)
+        drift = max(abs(m) for m in masses)
     else:
-        drift = max(abs(m - m0) for _, m in tm) / abs(m0)
+        drift = max(abs(m - m0) for m in masses) / abs(m0)
     return CheckResult("mass_conservation", drift, tol, drift <= tol)
 
 
-def check_support(trajectory, m0, tol=1e-9):
-    """max_t M(t) against the initial support radius M0."""
-    peak = 0.0
-    for snap in trajectory:
-        if not isinstance(snap, Ensemble):
-            raise InvalidInputError("support check applies to particle trajectories")
-        peak = max(peak, snap.max_speed)
-    return CheckResult("velocity_support_bound", peak, m0 + tol, peak <= m0 + tol)
+def check_support(speeds, m0, tol=1e-9, name="velocity_support_bound"):
+    """max_t M(t) over a run's per-snapshot speed maxima against the
+    initial support radius M0."""
+    peak = max(speeds)
+    return CheckResult(name, peak, m0 + tol, peak <= m0 + tol)
 
 
 def check_density_growth(trajectory, tol=1e-12):
@@ -117,27 +105,23 @@ def check_volume_law(trajectory, tol=1e-12):
     return CheckResult("phase_volume_law", worst, tol, worst <= tol)
 
 
-def check_oracle_sup(trajectory, tol=1e-9):
-    """Grid max value against ||f0||_inf * e^{lam*t} at every snapshot."""
-    f0_sup = trajectory[0].values.max() if trajectory[0].values.size else 0.0
+def check_oracle_sup(times, sups, lam, tol=1e-9):
+    """Grid max values against ||f0||_inf * e^{lam*t} at every snapshot."""
     worst = 0.0
-    for snap in trajectory:
-        bound = f0_sup * np.exp(snap.lam * (snap.t - trajectory[0].t))
+    for t, sup in zip(times, sups):
+        bound = sups[0] * np.exp(lam * (t - times[0]))
         if bound > 0:
-            worst = max(worst, float(snap.values.max()) / bound - 1.0)
+            worst = max(worst, sup / bound - 1.0)
     return CheckResult("sup_growth_bound", worst, tol, worst <= tol)
 
 
-def fit_lp_exponent(trajectory, p, norms=None):
-    """Least-squares slope of log ||f(t)||_p versus t for a grid run;
-    norms, the L^p norm of each snapshot, are computed if not given."""
-    if norms is None:
-        from .oracle import oracle_lp_norm
-        norms = [oracle_lp_norm(snap, p) for snap in trajectory]
+def fit_lp_exponent(times, norms):
+    """Least-squares slope of log ||f(t)||_p versus t over the snapshots
+    with a positive norm."""
     ts, logs = [], []
-    for snap, norm in zip(trajectory, norms):
+    for t, norm in zip(times, norms):
         if norm > 0:
-            ts.append(snap.t)
+            ts.append(t)
             logs.append(np.log(norm))
     if len(ts) < 2:
         raise InvalidInputError("need at least 2 snapshots with positive norm")
@@ -145,15 +129,14 @@ def fit_lp_exponent(trajectory, p, norms=None):
     return float(slope)
 
 
-def check_lp_law(trajectory, p_list, lam, d=1, rel_tol=0.05, abs_tol=1e-3, norms=None):
+def check_lp_law(times, norms, p_list, lam, d=1, rel_tol=0.05, abs_tol=1e-3):
     """Fitted growth exponents of the linear grid run against
     lam*d*(p-1)/p; p = 1 is held to an absolute tolerance (target 0).
-    norms maps each p to the L^p norm of each snapshot, as a run records
-    them; they are computed if not given."""
+    norms maps each p to the L^p norm of each snapshot."""
     results = []
     for p in p_list:
         target = lam * d * (p - 1) / p
-        slope = fit_lp_exponent(trajectory, p, None if norms is None else norms[p])
+        slope = fit_lp_exponent(times, norms[p])
         if target == 0.0:
             err = abs(slope)
             results.append(CheckResult(f"lp_law_p{p}", err, abs_tol, err <= abs_tol,
@@ -179,18 +162,18 @@ def particle_lp_norm(ensemble: Ensemble, p):
     return norm
 
 
-def check_particle_lp_inequality(trajectory, p_list, slack=1e-9):
+def check_particle_lp_inequality(times, norms, p_list, lam, d, slack=1e-9):
     """For the nonlinear particle solver only the upper bound
-    ||f(t)||_p <= e^{lam*d*(p-1)t/p} ||f0||_p is asserted."""
-    first = trajectory[0]
+    ||f(t)||_p <= e^{lam*d*(p-1)t/p} ||f0||_p is asserted; norms maps each
+    p to the `particle_lp_norm` of each snapshot."""
     results = []
     for p in p_list:
-        base = particle_lp_norm(first, p)
+        base = norms[p][0]
         worst = 0.0
-        for snap in trajectory[1:]:
-            bound = base * np.exp(snap.lam * snap.dim * (p - 1) * (snap.t - first.t) / p)
+        for t, norm in zip(times[1:], norms[p][1:]):
+            bound = base * np.exp(lam * d * (p - 1) * (t - times[0]) / p)
             if bound > 0:
-                worst = max(worst, particle_lp_norm(snap, p) / bound - 1.0)
+                worst = max(worst, norm / bound - 1.0)
         results.append(CheckResult(f"lp_inequality_p{p}", worst, slack, worst <= slack))
     return results
 

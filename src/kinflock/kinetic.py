@@ -32,10 +32,10 @@ class InitialDistributionSpec:
 
     kinds:
       box_indicator            amplitude on x_bounds x v_bounds boxes
-      product_gaussian_truncated  separable Gaussian bumps, hard-truncated
+      product_gaussian_truncated  one separable Gaussian bump, hard-truncated
                                   to the stated boxes
-      two_bump                 two Gaussian bumps at opposite positions and
-                               velocities
+      two_bump                 a sum of such bumps, by default two at
+                               opposite positions and velocities
     sampling: ("tensor_grid", n_x, n_v) or ("monte_carlo", N, seed)
     """
 
@@ -65,6 +65,14 @@ class InitialDistributionSpec:
                                        self.x_bounds.mean(axis=1) + 0.5])
             self.v_centers = np.stack([self.v_bounds.mean(axis=1) + 0.5,
                                        self.v_bounds.mean(axis=1) - 0.5])
+        if self.kind in ("product_gaussian_truncated", "two_bump"):
+            # (n_bumps, dim) centres: a product Gaussian is the one-bump
+            # case, centred on the box means unless given
+            bumps = 1 if self.kind == "product_gaussian_truncated" else -1
+            for name, bounds in (("x_centers", self.x_bounds), ("v_centers", self.v_bounds)):
+                c = getattr(self, name)
+                c = bounds.mean(axis=1) if c is None else c
+                setattr(self, name, np.asarray(c, float).reshape(bumps, self.dim))
 
     @property
     def support_bound(self):
@@ -87,21 +95,12 @@ class InitialDistributionSpec:
                   & np.all((v >= self.v_bounds[:, 0]) & (v <= self.v_bounds[:, 1]), axis=-1))
         if self.kind == "box_indicator":
             vals = self.amplitude * np.ones(inside.shape)
-        elif self.kind == "product_gaussian_truncated":
-            xc = self.x_bounds.mean(axis=1) if self.x_centers is None else np.asarray(self.x_centers, float).reshape(self.dim)
-            vc = self.v_bounds.mean(axis=1) if self.v_centers is None else np.asarray(self.v_centers, float).reshape(self.dim)
-            vals = self.amplitude * np.exp(
-                -((x - xc) ** 2).sum(axis=-1) / (2 * self.x_sigma ** 2)
-                - ((v - vc) ** 2).sum(axis=-1) / (2 * self.v_sigma ** 2)
-            )
-        elif self.kind == "two_bump":
-            xc = np.asarray(self.x_centers, float).reshape(-1, self.dim)
-            vc = np.asarray(self.v_centers, float).reshape(-1, self.dim)
+        elif self.kind in ("product_gaussian_truncated", "two_bump"):
             vals = np.zeros(inside.shape)
-            for k in range(len(xc)):
+            for xc, vc in zip(self.x_centers, self.v_centers):
                 vals += self.amplitude * np.exp(
-                    -((x - xc[k]) ** 2).sum(axis=-1) / (2 * self.x_sigma ** 2)
-                    - ((v - vc[k]) ** 2).sum(axis=-1) / (2 * self.v_sigma ** 2)
+                    -((x - xc) ** 2).sum(axis=-1) / (2 * self.x_sigma ** 2)
+                    - ((v - vc) ** 2).sum(axis=-1) / (2 * self.v_sigma ** 2)
                 )
         else:
             raise InvalidInputError(f"unknown initial kind {self.kind!r}")
@@ -154,8 +153,7 @@ def rejection_sample(spec: InitialDistributionSpec, n, rng):
     rejection from its boxes; f0 must not be zero everywhere when n > 0."""
     d = spec.dim
     # f0 peaks at the amplitude, or below n times it where n bumps overlap
-    n_bumps = len(np.reshape(spec.x_centers, (-1, d))) if spec.kind == "two_bump" else 1
-    sup = n_bumps * spec.amplitude
+    sup = (1 if spec.kind == "box_indicator" else len(spec.x_centers)) * spec.amplitude
     xs, vs = [np.zeros((0, d))], [np.zeros((0, d))]
     need = n
     while need > 0:

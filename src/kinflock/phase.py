@@ -11,7 +11,7 @@ step count and times from `march`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,6 @@ class Ensemble:
     density_value: np.ndarray
     phase_volume: np.ndarray
     initial_support_bound: float = 0.0
-    initial_sup_density: float = field(default=0.0)
 
     def __post_init__(self):
         if not (self.lam > 0):
@@ -157,8 +156,6 @@ class Ensemble:
             raise InvalidInputError("mass and density_value must be non-negative")
         if np.any(self.phase_volume <= 0):
             raise InvalidInputError("phase_volume must be strictly positive")
-        if self.initial_sup_density == 0.0 and n:
-            self.initial_sup_density = float(self.density_value.max())
 
     @property
     def n(self):

@@ -32,7 +32,7 @@ def initial_spec_from_config(cfg: ScenarioConfig) -> InitialDistributionSpec:
     ib = cfg["initial"]
     sampling = ib["sampling"]
     if sampling["kind"] == "tensor_grid":
-        samp = ("tensor_grid", sampling.get("n_x", 16), sampling.get("n_v", 16))
+        samp = ("tensor_grid", sampling["n_x"], sampling["n_v"])
     else:
         samp = ("monte_carlo", sampling.get("n", 1000), None)
     return InitialDistributionSpec(
@@ -40,12 +40,12 @@ def initial_spec_from_config(cfg: ScenarioConfig) -> InitialDistributionSpec:
         dim=cfg["dim"],
         x_bounds=np.asarray(ib["x_bounds"], float),
         v_bounds=np.asarray(ib["v_bounds"], float),
-        amplitude=ib.get("amplitude", 1.0),
+        amplitude=ib["amplitude"],
         sampling=samp,
         x_centers=np.asarray(ib["x_centers"], float) if "x_centers" in ib else None,
         v_centers=np.asarray(ib["v_centers"], float) if "v_centers" in ib else None,
-        x_sigma=ib.get("x_sigma", 0.25),
-        v_sigma=ib.get("v_sigma", 0.25),
+        x_sigma=ib["x_sigma"],
+        v_sigma=ib["v_sigma"],
     )
 
 
@@ -82,7 +82,9 @@ def sample_agents(cfg: ScenarioConfig, rng):
     return AgentState(0.0, cfg["dim"], x, v), spec
 
 
-def _ensemble_record(ens):
+def _ensemble_record(ens, sup0):
+    """The per-snapshot scalars of a kinetic run up to its L^p norms; sup0
+    is the initial max density value."""
     var, vdiam, xdiam = diag.flocking_metrics(ens)
     rec = {
         "t": ens.t,
@@ -92,12 +94,25 @@ def _ensemble_record(ens):
         "velocity_diameter": vdiam,
         "spatial_diameter": xdiam,
     }
-    if ens.n and ens.initial_sup_density > 0:
-        bound = ens.initial_sup_density * np.exp(ens.lam * ens.dim * ens.t)
+    if sup0 > 0:
+        bound = sup0 * np.exp(ens.lam * ens.dim * ens.t)
         rec["max_density_bound_ratio"] = float(ens.density_value.max()) / bound
-    for p in (1, 2):
-        rec[f"lp_norm_p{p}"] = diag.particle_lp_norm(ens, p)
     return rec
+
+
+def _series(report, key):
+    """The values of one record key over the snapshots of a run."""
+    return [rec[key] for rec in report.records]
+
+
+def _add_or_warn(report, check, allow_large_dt, *warning):
+    """Add the check to the report, or under allow_large_dt log the
+    warning (a logging message and its arguments) in place of a failure."""
+    if allow_large_dt and not check.passed:
+        import logging
+        logging.getLogger(__name__).warning(*warning)
+    else:
+        report.add_check(check)
 
 
 def _sample_initial(cfg: ScenarioConfig):
@@ -114,22 +129,24 @@ def run_kinetic(cfg: ScenarioConfig, out_dir):
     result = run_self_consistent(ens0, cfg["t_final"], cfg["dt"], cfg["delta"],
                                  snapshot_stride=cfg["snapshot_stride"])
     snaps = result.snapshots
-    for ens in snaps:
-        report.records.append(_ensemble_record(ens))
     dcfg = cfg["diagnostics"]
+    # the records and the checks share one L^p norm per snapshot and distinct p
+    norms = {p: [diag.particle_lp_norm(ens, p) for ens in snaps]
+             for p in dict.fromkeys((1, 2, *dcfg["lp_exponents"]))}
+    sup0 = float(ens0.density_value.max()) if ens0.n else 0.0
+    for i, ens in enumerate(snaps):
+        report.records.append(_ensemble_record(ens, sup0)
+                              | {f"lp_norm_p{p}": norms[p][i] for p in (1, 2)})
     if dcfg["enabled"]:
-        report.add_check(diag.check_mass(snaps, tol=dcfg["mass_tol"]))
-        support = diag.check_support(snaps, ens0.initial_support_bound,
-                                     tol=dcfg["support_tol"])
-        if cfg["allow_large_dt"] and not support.passed:
-            import logging
-            logging.getLogger(__name__).warning(
-                "support bound exceeded under allow_large_dt: %s", support)
-        else:
-            report.add_check(support)
+        report.add_check(diag.check_mass(_series(report, "total_mass"), tol=dcfg["mass_tol"]))
+        support = diag.check_support(_series(report, "support_radius"),
+                                     ens0.initial_support_bound, tol=dcfg["support_tol"])
+        _add_or_warn(report, support, cfg["allow_large_dt"],
+                     "support bound exceeded under allow_large_dt: %s", support)
         report.add_check(diag.check_density_growth(snaps))
         report.add_check(diag.check_volume_law(snaps))
-        for c in diag.check_particle_lp_inequality(snaps, dcfg["lp_exponents"]):
+        for c in diag.check_particle_lp_inequality(_series(report, "t"), norms,
+                                                   dcfg["lp_exponents"], ens0.lam, ens0.dim):
             report.add_check(c)
     kio.write_particle_snapshots(os.path.join(out_dir, "particles.csv"),
                                  snaps, result.snapshot_steps)
@@ -163,7 +180,6 @@ def run_agents(cfg: ScenarioConfig, out_dir):
 
     state, _ = sample_agents(cfg, rng)
     lam, rhs = cfg["lam"], agent_rhs(cfg)
-    max_speed0 = float(np.sqrt((state.velocities ** 2).sum(axis=1)).max()) if state.n else 0.0
 
     def step(s, k, t):
         s = integrate_agents(s, rhs, dt, cfg["integrator"], lam=lam)
@@ -178,16 +194,11 @@ def run_agents(cfg: ScenarioConfig, out_dir):
                                "spatial_diameter": xdiam})
     dcfg = cfg["diagnostics"]
     if dcfg["enabled"] and model in ("cutoff_cs", "mt") and state.n:
-        peak = max(float(np.sqrt((s.velocities ** 2).sum(axis=1)).max()) for s in snaps)
-        tol = dcfg["support_tol"]
-        check = diag.CheckResult("agent_speed_max_principle", peak,
-                                 max_speed0 + tol, peak <= max_speed0 + tol)
-        if cfg["allow_large_dt"] and not check.passed:
-            import logging
-            logging.getLogger(__name__).warning(
-                "agent max principle exceeded under allow_large_dt")
-        else:
-            report.add_check(check)
+        speeds = [float(np.sqrt((s.velocities ** 2).sum(axis=1)).max()) for s in snaps]
+        check = diag.check_support(speeds, speeds[0], dcfg["support_tol"],
+                                   "agent_speed_max_principle")
+        _add_or_warn(report, check, cfg["allow_large_dt"],
+                     "agent max principle exceeded under allow_large_dt")
     kio.write_agent_snapshots(os.path.join(out_dir, "agents.csv"), snaps, steps)
     return report
 
@@ -208,7 +219,7 @@ def run_oracle_mode(cfg: ScenarioConfig, out_dir):
     snaps, steps = run_oracle(grid0, field, cfg["t_final"], cfg["dt"],
                               snapshot_stride=cfg["snapshot_stride"])
     dcfg = cfg["diagnostics"]
-    norms = {p: [oracle_lp_norm(g, p) for g in snaps] for p in dcfg["lp_exponents"]}
+    norms = {p: [oracle_lp_norm(g, p) for g in snaps] for p in dict.fromkeys(dcfg["lp_exponents"])}
     for i, g in enumerate(snaps):
         rec = {"t": g.t, "total_mass": g.total_mass(),
                "sup_value": float(g.values.max()) if g.values.size else 0.0}
@@ -217,11 +228,12 @@ def run_oracle_mode(cfg: ScenarioConfig, out_dir):
         report.records.append(rec)
     if dcfg["enabled"]:
         mass_tol = max(dcfg["mass_tol"], 1e-3)  # grid quadrature tolerance
-        report.add_check(diag.check_mass(snaps, tol=mass_tol))
-        report.add_check(diag.check_oracle_sup(snaps))
+        times = _series(report, "t")
+        report.add_check(diag.check_mass(_series(report, "total_mass"), tol=mass_tol))
+        report.add_check(diag.check_oracle_sup(times, _series(report, "sup_value"), lam))
         if lam > 0:
-            for c in diag.check_lp_law(snaps, dcfg["lp_exponents"], lam, d=1,
-                                       rel_tol=dcfg["lp_rel_tol"], norms=norms):
+            for c in diag.check_lp_law(times, norms, dcfg["lp_exponents"], lam, d=1,
+                                       rel_tol=dcfg["lp_rel_tol"]):
                 report.add_check(c)
     kio.write_grid_snapshots(os.path.join(out_dir, "grid.csv"), snaps, steps)
     return report

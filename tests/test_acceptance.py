@@ -28,7 +28,7 @@ from kinflock.diagnostics import (check_density_growth, check_lp_law,
 from kinflock.fixed_point import FieldGrid, apply_F, picard_solve
 from kinflock.kinetic import (InitialDistributionSpec, run_linear,
                               run_self_consistent, sample_initial)
-from kinflock.oracle import PhaseGrid, quadrature_pushforward, run_oracle
+from kinflock.oracle import PhaseGrid, oracle_lp_norm, quadrature_pushforward, run_oracle
 from kinflock.phase import AgentState, Ensemble, march
 from kinflock.runner import initial_spec_from_config
 
@@ -85,9 +85,10 @@ def oracle_runs():
 def test_criterion_1_mass_conservation(particle_runs, oracle_runs):
     worst_particle = 0.0
     for name, (cfg, ens0, snaps) in particle_runs.items():
-        worst_particle = max(worst_particle, check_mass(snaps, tol=1e-12).value)
-    drift_128 = check_mass(oracle_runs[128][1], tol=1e-3).value
-    drift_256 = check_mass(oracle_runs[256][1], tol=2.5e-4).value
+        masses = [s.total_mass for s in snaps]
+        worst_particle = max(worst_particle, check_mass(masses, tol=1e-12).value)
+    drift_128 = check_mass([g.total_mass() for g in oracle_runs[128][1]], tol=1e-3).value
+    drift_256 = check_mass([g.total_mass() for g in oracle_runs[256][1]], tol=2.5e-4).value
     ok = worst_particle <= 1e-12 and drift_128 <= 1e-3 and drift_256 <= 2.5e-4
     _verdict(1, "mass conservation, particle <= 1e-12 / oracle <= 1e-3 (128^2), "
              "2.5e-4 (256^2)", ok,
@@ -105,7 +106,8 @@ def test_criterion_2_velocity_support_bound():
         assert cfg["lam"] * cfg["dt"] <= 1.0
         for delta in (0.0, 1e-3, 1e-1):
             res = run_self_consistent(ens0, cfg["t_final"], cfg["dt"], delta)
-            check = check_support(res.snapshots, ens0.initial_support_bound, tol=1e-9)
+            check = check_support([s.max_speed for s in res.snapshots],
+                                  ens0.initial_support_bound, tol=1e-9)
             ok = ok and check.passed
             worst = max(worst, check.value - ens0.initial_support_bound)
     _verdict(2, "max_t M(t) <= M0 + 1e-9 for delta in {0, 1e-3, 1e-1}", ok,
@@ -117,7 +119,9 @@ def test_criterion_3_lp_growth_law(oracle_runs):
     ok = True
     for n, rel_tol in ((128, 0.05), (256, 0.02)):
         cfg, snaps = oracle_runs[n]
-        checks = check_lp_law(snaps, [1.0, 2.0, 4.0], lam=cfg["lam"], d=1,
+        p_list = [1.0, 2.0, 4.0]
+        norms = {p: [oracle_lp_norm(g, p) for g in snaps] for p in p_list}
+        checks = check_lp_law([g.t for g in snaps], norms, p_list, lam=cfg["lam"], d=1,
                               rel_tol=rel_tol, abs_tol=1e-3)
         ok = ok and all(c.passed for c in checks)
         details.append(f"{n}^2: " + " ".join(
@@ -128,8 +132,10 @@ def test_criterion_3_lp_growth_law(oracle_runs):
 
 
 def test_criterion_4_sup_bound(particle_runs, oracle_runs):
-    oracle_excess = max(check_oracle_sup(snaps, tol=1e-9).value
-                        for _, snaps in oracle_runs.values())
+    oracle_excess = max(check_oracle_sup([g.t for g in snaps],
+                                         [float(g.values.max()) for g in snaps],
+                                         cfg["lam"], tol=1e-9).value
+                        for cfg, snaps in oracle_runs.values())
     particle_err = max(check_density_growth(snaps, tol=1e-12).value
                        for _, _, snaps in particle_runs.values())
     ok = oracle_excess <= 1e-9 and particle_err <= 1e-12

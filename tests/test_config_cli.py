@@ -647,6 +647,45 @@ def test_oracle_run_computes_each_lp_norm_once(tmp_path, monkeypatch):
     assert sorted(calls) == sorted([1, 2, 4] * len(report["records"]))
 
 
+def test_kinetic_run_computes_each_lp_norm_once(tmp_path, monkeypatch):
+    # the records (p = 1, 2) and the lp_inequality checks (p = 1, 2, 4)
+    # share one norm per snapshot and p
+    calls = []
+
+    def counted(ens, p, real=diagnostics.particle_lp_norm):
+        calls.append(p)
+        return real(ens, p)
+
+    monkeypatch.setattr(diagnostics, "particle_lp_norm", counted)
+    out = tmp_path / "out"
+    assert main(["run", "--config", scenario_path("kinetic_two_bump.json"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "diagnostics.json").read_text())
+    assert "lp_inequality_p4" in [c["name"] for c in report["assertions"]]
+    assert sorted(calls) == sorted([1, 2, 4] * len(report["records"]))
+
+
+@pytest.mark.parametrize("name", ["kinetic_two_bump.json", "oracle_l2.json"])
+def test_float_and_repeated_lp_exponents_only_rename_their_checks(tmp_path, name):
+    # p = 2.0 and p = 2 are one exponent: [1.0, 2.0, 4.0, 2] gives the
+    # checks of [1, 2, 4] under the names of its own list, one per entry
+    reports = {}
+    for exps in ([1, 2, 4], [1.0, 2.0, 4.0, 2]):
+        data = json.loads(Path(scenario_path(name)).read_text())
+        data.setdefault("diagnostics", {})["lp_exponents"] = exps
+        cfg, out = tmp_path / f"{len(exps)}.json", tmp_path / f"out{len(exps)}"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        reports[len(exps)] = json.loads((out / "diagnostics.json").read_text())["assertions"]
+    ints, floats = reports[3], reports[4]
+    n = len(ints) - 3  # the checks ahead of the three L^p ones
+    prefix = ints[-1]["name"][:-1]  # lp_inequality_p or lp_law_p
+    names = [f"{prefix}{p}" for p in ("1.0", "2.0", "4.0", "2")]
+    assert floats[:n] == ints[:n]
+    assert floats[n:] == [dict(c, name=name) for c, name in
+                          zip([ints[n], ints[n + 1], ints[n + 2], ints[n + 1]], names)]
+
+
 def _assertion_names(out):
     report = json.loads((out / "diagnostics.json").read_text())
     return [c["name"] for c in report["assertions"]]
@@ -656,8 +695,8 @@ def test_large_dt_kinetic_run_warns_instead_of_failing_the_support_check(
         tmp_path, caplog, monkeypatch):
     # the exact step keeps every speed within M0 at any dt, so the check is
     # made to fail here
-    def failing_check(trajectory, m0, tol):
-        return diagnostics.CheckResult("velocity_support_bound", m0 + 1.0, m0 + tol, False)
+    def failing_check(speeds, m0, tol, name="velocity_support_bound"):
+        return diagnostics.CheckResult(name, max(speeds) + 1.0, m0 + tol, False)
 
     monkeypatch.setattr(diagnostics, "check_support", failing_check)
     cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,36 +37,61 @@ def evolved_copy(ens, t):
     return out
 
 
+# the per-snapshot series a run records, read off snapshots
+def masses(trajectory):
+    return [snap.total_mass for snap in trajectory]
+
+
+def times(trajectory):
+    return [snap.t for snap in trajectory]
+
+
+def grid_norms(trajectory, p_list):
+    return {p: [oracle_lp_norm(g, p) for g in trajectory] for p in p_list}
+
+
 class TestMassAndSupport:
     def test_constant_mass_passes(self):
         ens = make_ensemble()
-        res = check_mass([ens, evolved_copy(ens, 1.0)])
+        res = check_mass(masses([ens, evolved_copy(ens, 1.0)]))
+        assert res.passed and res.value == 0.0
+        # with m0 == 0 the drift is absolute
+        res = check_mass([0.0, 0.0, 0.0])
         assert res.passed and res.value == 0.0
 
     def test_drifting_mass_fails(self):
         a = make_ensemble()
         b = copy.deepcopy(a)
         b.mass = a.mass * 1.001
-        res = check_mass([a, b], tol=1e-6)
+        res = check_mass(masses([a, b]), tol=1e-6)
         assert not res.passed
         assert res.value == pytest.approx(1e-3, rel=1e-10)
+        res = check_mass([0.0, 1e-7, -2e-6], tol=1e-6)
+        assert not res.passed and res.value == 2e-6
 
     def test_single_snapshot_rejected(self):
         with pytest.raises(InvalidInputError):
-            check_mass([make_ensemble()])
+            check_mass(masses([make_ensemble()]))
 
     def test_grid_snapshots_accepted(self):
         g = PhaseGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                       np.ones((2, 2)), 0.0, 1.0)
-        res = check_mass([g, copy.deepcopy(g)])
+        res = check_mass([g.total_mass(), copy.deepcopy(g).total_mass()])
         assert res.passed
 
     def test_support_check(self):
         ens = make_ensemble()
-        ok = check_support([ens], m0=float(ens.max_speed))
-        assert ok.passed
-        bad = check_support([ens], m0=float(ens.max_speed) * 0.5)
+        ok = check_support([ens.max_speed], m0=ens.max_speed)
+        assert ok.passed and ok.name == "velocity_support_bound"
+        bad = check_support([ens.max_speed], m0=ens.max_speed * 0.5)
         assert not bad.passed
+        # the agents' max principle: the peak over every snapshot, the
+        # first included, against the first snapshot's speed
+        speeds = [0.5, 0.7, 0.6]
+        agent = check_support(speeds, speeds[0], 1e-9, "agent_speed_max_principle")
+        assert agent.name == "agent_speed_max_principle"
+        assert not agent.passed and agent.value == 0.7 and agent.tolerance == 0.5 + 1e-9
+        assert check_support([0.7, 0.5], 0.7, 1e-9, "agent_speed_max_principle").passed
 
 
 class TestGrowthLaws:
@@ -87,7 +113,7 @@ class TestGrowthLaws:
         res = run_self_consistent(ens, T=0.5, dt=0.01, delta=0.1)
         assert check_density_growth(res.snapshots).passed
         assert check_volume_law(res.snapshots).passed
-        assert check_mass(res.snapshots).passed
+        assert check_mass(masses(res.snapshots)).passed
 
 
 class TestOracleChecks:
@@ -97,7 +123,11 @@ class TestOracleChecks:
 
     def test_sup_growth_bound(self):
         snaps, _ = run_oracle(self.g, lambda t, x: 0 * x, T=0.3, dt=0.1)
-        assert check_oracle_sup(snaps).passed
+        sups = [float(g.values.max()) for g in snaps]
+        assert check_oracle_sup(times(snaps), sups, lam=1.0).passed
+        # a max value above ||f0||_inf e^{lam t} fails by its excess
+        bad = check_oracle_sup([0.0, 1.0], [1.0, 1.01 * np.e], lam=1.0)
+        assert not bad.passed and bad.value == pytest.approx(0.01, rel=1e-12)
 
     def test_fit_exponent_of_analytic_sequence(self):
         # scale the values by e^{0.25 t}: the p = 1 slope is exactly 0.25
@@ -107,20 +137,26 @@ class TestOracleChecks:
             g.t = t
             g.values = self.g.values * np.exp(0.25 * t)
             snaps.append(g)
-        assert fit_lp_exponent(snaps, 1.0) == pytest.approx(0.25, abs=1e-12)
+        norms = grid_norms(snaps, [1.0])[1.0]
+        assert fit_lp_exponent(times(snaps), norms) == pytest.approx(0.25, abs=1e-12)
 
     def test_lp_law_linear_run(self):
         snaps, _ = run_oracle(self.g, lambda t, x: 0 * x, T=0.5, dt=0.1)
-        results = check_lp_law(snaps, [1.0, 2.0], lam=1.0)
+        results = check_lp_law(times(snaps), grid_norms(snaps, [1.0, 2.0]), [1.0, 2.0], lam=1.0)
         assert all(r.passed for r in results)
         by_name = {r.name: r for r in results}
         assert by_name["lp_law_p2.0"].detail["target"] == pytest.approx(0.5)
 
     def test_lp_law_fits_the_recorded_norms(self):
+        # norms keyed by int p serve a float or repeated p of p_list, and
+        # each slope is the fit of exactly those norms
         snaps, _ = run_oracle(self.g, lambda t, x: 0 * x, T=0.5, dt=0.1)
-        norms = {p: [oracle_lp_norm(g, p) for g in snaps] for p in (1.0, 2.0)}
-        assert (check_lp_law(snaps, [1.0, 2.0], lam=1.0, norms=norms)
-                == check_lp_law(snaps, [1.0, 2.0], lam=1.0))
+        ts, norms = times(snaps), grid_norms(snaps, [1, 2])
+        results = check_lp_law(ts, norms, [1.0, 2.0, 2], lam=1.0)
+        assert [r.name for r in results] == ["lp_law_p1.0", "lp_law_p2.0", "lp_law_p2"]
+        assert results[1] == dataclasses.replace(results[2], name="lp_law_p2.0")
+        for r, p in zip(results, (1, 2, 2)):
+            assert r.detail["slope"] == fit_lp_exponent(ts, norms[p])
 
 
 class TestParticleLp:
@@ -145,11 +181,22 @@ class TestParticleLp:
     def test_linear_trajectory_saturates_equality(self):
         ens = make_ensemble(n=30, seed=2)
         res = run_linear(ens, lambda t, X: np.zeros_like(X), T=1.0, dt=0.1)
-        results = check_particle_lp_inequality(res.snapshots, [1.0, 2.0, 4.0])
+        p_list = [1.0, 2.0, 4.0]
+        norms = {p: [particle_lp_norm(s, p) for s in res.snapshots] for p in p_list}
+        results = check_particle_lp_inequality(times(res.snapshots), norms, p_list,
+                                               ens.lam, ens.dim)
         assert all(r.passed for r in results)
         # the reconstructed norms track the equality law, so the measured
         # slack is at rounding level rather than merely non-positive
         assert all(abs(r.value) < 1e-12 for r in results)
+
+    def test_norm_above_the_bound_fails(self):
+        # ||f(1)||_2 one percent above e^{lam*d*(p-1)/p} ||f0||_2
+        results = check_particle_lp_inequality([0.0, 1.0], {2: [1.0, 1.01 * np.exp(0.5)]},
+                                               [2], lam=1.0, d=1)
+        assert [r.name for r in results] == ["lp_inequality_p2"]
+        assert not results[0].passed
+        assert results[0].value == pytest.approx(0.01, rel=1e-12)
 
 
 class TestPushforward:
@@ -275,10 +322,10 @@ class TestMeanfieldDistance:
 
 def test_report_aggregation():
     report = DiagnosticsReport(metadata={"mode": "test"})
-    report.add_check(check_mass([make_ensemble(), make_ensemble()]))
+    report.add_check(check_mass(masses([make_ensemble(), make_ensemble()])))
     assert report.all_passed
     d = report.to_dict()
     assert d["metadata"]["mode"] == "test"
     assert d["assertions"][0]["name"] == "mass_conservation"
-    report.add_check(check_support([make_ensemble()], m0=0.0))
+    report.add_check(check_support([make_ensemble().max_speed], m0=0.0))
     assert not report.all_passed
