@@ -189,14 +189,11 @@ class TestParticleLp:
         # the reconstructed norms track the equality law, so the measured
         # slack is at rounding level rather than merely non-positive
         assert all(abs(r.value) < 1e-12 for r in results)
-
-    def test_norm_above_the_bound_fails(self):
-        # ||f(1)||_2 one percent above e^{lam*d*(p-1)/p} ||f0||_2
-        results = check_particle_lp_inequality([0.0, 1.0], {2: [1.0, 1.01 * np.exp(0.5)]},
-                                               [2], lam=1.0, d=1)
-        assert [r.name for r in results] == ["lp_inequality_p2"]
-        assert not results[0].passed
-        assert results[0].value == pytest.approx(0.01, rel=1e-12)
+        # ||f(1)||_2 one percent above e^{lam*d*(p-1)/p} ||f0||_2 fails
+        [bad] = check_particle_lp_inequality([0.0, 1.0], {2: [1.0, 1.01 * np.exp(0.5)]},
+                                             [2], lam=1.0, d=1)
+        assert bad.name == "lp_inequality_p2" and not bad.passed
+        assert bad.value == pytest.approx(0.01, rel=1e-12)
 
 
 class TestPushforward:
