@@ -202,6 +202,11 @@ def validate_config(data: dict) -> ScenarioConfig:
                 if lo > hi:
                     raise ConfigError(f"config key initial/{key}/{i}: lo > hi in {[lo, hi]!r}")
         _check_centres(ib, merged["dim"])
+    exps = merged["diagnostics"]["lp_exponents"]
+    repeated = [p for i, p in enumerate(exps) if p in exps[:i]]
+    if repeated:  # 2 and 2.0 are one exponent: one check and one record column
+        raise ConfigError(f"config key diagnostics/lp_exponents: {exps!r} lists the "
+                          f"exponent {repeated[0]!r} more than once")
     return ScenarioConfig(merged)
 
 

@@ -20,10 +20,6 @@ class InvalidInputError(KinflockError):
 class IntegrationBlowupError(KinflockError):
     """A time step produced non-finite state."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
-
 
 class InvariantViolationError(KinflockError):
     """A structurally guaranteed invariant failed at runtime.

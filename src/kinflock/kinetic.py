@@ -7,8 +7,9 @@ step freezes the field at the step start and applies `phase.exact_step`,
 the exact solution of the resulting linear ODE, so the velocity update is a
 convex combination of the old velocity and the (bounded) field value.  The
 run loops go through `phase.march`, which gives each step its time from
-the step count.  Density values and phase volumes are multiplied by
-reciprocal exponential factors, keeping particle masses exactly constant.
+the step count.  A step moves only x and v: density values and phase
+volumes are the initial ones times and over e^{lam*dim*t}, read off the
+step's time (`phase.Ensemble`), so particle masses stay exactly constant.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 An Ensemble stores weighted phase-space particles in struct-of-arrays form:
 each particle carries a mass, the pointwise density value transported along
 its characteristic, and the phase-space volume element it represents.  The
-product density_value * phase_volume equals the (constant) mass; both
-factors are updated by reciprocal exponentials so the identity is exact.
+product density_value * phase_volume equals the (constant) mass: both are
+the values the ensemble was built with, times and over the one growth
+factor e^{lam*dim*(t - t0)}, computed when they are read.  The horizon
+rule (`Ensemble.reaches`) marks where that factor leaves the double range.
 Every solver steps its characteristics with `exact_step` and takes its
 step count and times from `march`.
 """
@@ -116,46 +118,48 @@ class HeadingState:
         return len(self.positions)
 
 
-@dataclass
 class Ensemble:
     """Weighted-particle discretization of a phase-space density.
 
     Arrays: x (N, dim), v (N, dim), mass (N,), density_value (N,),
-    phase_volume (N,).  Mass is constant along trajectories; density values
-    grow by e^{lam*dim*dt} per step while phase volumes shrink by the
-    reciprocal factor.
+    phase_volume (N,).  Mass is constant along trajectories.  The ensemble
+    keeps the density values and phase volumes it was built with
+    (density0, volume0) and the time t0 it was built at; at time t they
+    read density0 * e^g and volume0 / e^g with g = lam*dim*(t - t0), the
+    exact growth along every characteristic.  mass, density0 and volume0
+    are read-only and shared by every ensemble `stepped` returns.
     """
 
-    t: float
-    dim: int
-    lam: float
-    radius: float
-    x: np.ndarray
-    v: np.ndarray
-    mass: np.ndarray
-    density_value: np.ndarray
-    phase_volume: np.ndarray
-    initial_support_bound: float = 0.0
-
-    def __post_init__(self):
-        if not (self.lam > 0):
+    def __init__(self, t, dim, lam, radius, x, v, mass, density_value, phase_volume,
+                 initial_support_bound=0.0):
+        if not (lam > 0):
             raise InvalidInputError("lam must be positive")
-        if not (self.radius > 0):
+        if not (radius > 0):
             raise InvalidInputError("radius must be positive")
-        self.x = _as_points(self.x, self.dim, "x")
-        self.v = _as_points(self.v, self.dim, "v")
-        n = len(self.x)
-        for name in ("mass", "density_value", "phase_volume"):
-            a = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            if len(a) != n:
+        self.t, self.t0, self.dim, self.lam, self.radius = t, t, dim, lam, radius
+        self.initial_support_bound = initial_support_bound
+        self.x = _as_points(x, dim, "x")
+        self.v = _as_points(v, dim, "v")
+        arrays = {}
+        for name, a in (("mass", mass), ("density_value", density_value),
+                        ("phase_volume", phase_volume)):
+            # a view, so that making it read-only leaves the caller's array as it is
+            a = np.asarray(a, dtype=float).reshape(-1).view()
+            if len(a) != len(self.x):
                 raise InvalidInputError(f"{name}: length mismatch")
             if not np.all(np.isfinite(a)):
                 raise InvalidInputError(f"{name}: non-finite entries")
-            setattr(self, name, a)
-        if np.any(self.mass < 0) or np.any(self.density_value < 0):
+            a.flags.writeable = False
+            arrays[name] = a
+        self.mass, self.density0, self.volume0 = arrays.values()
+        if np.any(self.mass < 0) or np.any(self.density0 < 0):
             raise InvalidInputError("mass and density_value must be non-negative")
-        if np.any(self.phase_volume <= 0):
+        if np.any(self.volume0 <= 0):
             raise InvalidInputError("phase_volume must be strictly positive")
+        # the extremes the horizon rule tests; an empty ensemble only
+        # needs e^g itself to be finite
+        self._density_max = float(self.density0.max(initial=0.0))
+        self._volume_min = float(self.volume0.min(initial=np.inf))
 
     @property
     def n(self):
@@ -172,26 +176,43 @@ class Ensemble:
             return 0.0
         return float(np.sqrt((self.v ** 2).sum(axis=1)).max())
 
+    def growth(self, t):
+        """e^{lam*dim*(t - t0)}: the factor by which density values have
+        grown, and phase volumes shrunk, at time t."""
+        return np.exp(self.lam * self.dim * (t - self.t0))
+
+    @property
+    def density_value(self):
+        return self.density0 * self.growth(self.t)
+
+    @property
+    def phase_volume(self):
+        return self.volume0 / self.growth(self.t)
+
+    def reaches(self, t):
+        """The horizon rule: whether at time t every density value is still
+        a finite double and every phase volume still positive.  Past that
+        point a density value overflows to inf or a phase volume rounds to
+        0.  The growth only increases with t, so the rule at a run's last
+        time holds at every earlier step."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow = self.growth(t)
+            return bool(self._density_max * grow < np.inf and self._volume_min / grow > 0)
+
     def stepped(self, t, x, v):
-        """The ensemble at time t with new (N, dim) positions and velocities.
-        Density values grow by e^{lam*dim*(t - self.t)} and phase volumes
-        shrink by the same factor; mass and the scalars carry over.  The new
-        arrays get the value checks of __post_init__, in its order and with
-        its messages."""
-        grow = np.exp(self.lam * self.dim * (t - self.t))
-        density_value = self.density_value * grow
-        phase_volume = self.phase_volume / grow
-        for name, a in (("x", x), ("v", v), ("density_value", density_value),
-                        ("phase_volume", phase_volume)):
+        """The ensemble at time t with new (N, dim) positions and velocities;
+        everything else is shared, so the result depends on t, not on the
+        steps before it.  x and v get the value checks of __init__ with its
+        messages, and t the horizon rule."""
+        for name, a in (("x", x), ("v", v)):
             if not np.isfinite(a).all():
                 raise InvalidInputError(f"{name}: non-finite entries")
-        if (density_value < 0).any():
-            raise InvalidInputError("mass and density_value must be non-negative")
-        if (phase_volume <= 0).any():
-            raise InvalidInputError("phase_volume must be strictly positive")
+        if not self.reaches(t):
+            raise InvalidInputError(
+                f"t={t!r} is past the horizon: e^(lam*dim*(t - t0)) takes a "
+                "density value past the largest double or a phase volume to 0")
         out = object.__new__(Ensemble)
-        out.__dict__.update(self.__dict__, t=t, x=x, v=v, mass=self.mass.copy(),
-                            density_value=density_value, phase_volume=phase_volume)
+        out.__dict__.update(self.__dict__, t=t, x=x, v=v)
         return out
 
     def check_mass_identity(self):

@@ -117,10 +117,20 @@ def _add_or_warn(report, check, allow_large_dt, *warning):
 
 def _sample_initial(cfg: ScenarioConfig):
     """The initial ensemble of a kinetic or Picard run; the seed streams
-    are created only for monte_carlo sampling, the one kind that draws."""
+    are created only for monte_carlo sampling, the one kind that draws.
+    A t_final past the ensemble's horizon rule is a configuration error
+    here, before the first step."""
     spec = initial_spec_from_config(cfg)
     rng = cfg.seed_streams()[0] if spec.sampling[0] == "monte_carlo" else None
-    return sample_initial(spec, cfg["lam"], cfg["radius"], rng=rng)
+    ens = sample_initial(spec, cfg["lam"], cfg["radius"], rng=rng)
+    t_final, dt = cfg["t_final"], cfg["dt"]
+    # the last step of `march`, or the last Picard time node t_final
+    if not ens.reaches(max(t_final, round(t_final / dt) * dt)):
+        raise ConfigError(
+            f"config key t_final: {t_final!r} is past the horizon of this ensemble: "
+            "e^(lam*dim*t) would take a density value past the largest double "
+            "or a phase volume to 0")
+    return ens
 
 
 def run_kinetic(cfg: ScenarioConfig, out_dir):

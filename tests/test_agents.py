@@ -5,7 +5,7 @@ import pytest
 
 from kinflock.agents import cutoff_cs_rhs, integrate_agents, vicsek_step
 from kinflock.config import validate_config
-from kinflock.errors import InvalidInputError
+from kinflock.errors import IntegrationBlowupError, InvalidInputError
 from kinflock.phase import AgentState, HeadingState
 from kinflock.runner import agent_rhs
 from kinflock.spatial import brute_force_radius
@@ -216,6 +216,13 @@ class TestIntegration:
             state = integrate_agents(state, rhs, dt, "explicit_euler")
             after = np.sqrt((state.velocities ** 2).sum(axis=1)).max()
             assert after <= before + 1e-12
+
+    def test_non_finite_step_raises_blowup(self):
+        state = AgentState(0.25, 1, [[0.0], [1.0]], [[1.0], [0.0]])
+        with pytest.raises(IntegrationBlowupError,
+                           match=r"^non-finite state after step at t=0.25$"):
+            integrate_agents(state, lambda s: np.full((s.n, s.dim), np.inf), 0.1,
+                             "explicit_euler")
 
     def test_bad_dt_rejected(self):
         state = make_state([[0.0]], [[0.0]])

@@ -16,6 +16,7 @@ from kinflock.config import load_config, validate_config
 from kinflock.errors import ConfigError
 from kinflock.io import fmt
 from kinflock.kinetic import sample_initial
+from kinflock.phase import Ensemble
 
 
 def scenario_path(name):
@@ -49,9 +50,9 @@ def small_agents(model, kernel):
                         "v_bounds": [[-1.0, 1.0], [-1.0, 1.0]]}}
 
 
-def oracle_l2(field):
+def oracle_l2(field, **oracle):
     data = json.loads(Path(scenario_path("oracle_l2.json")).read_text())
-    data["oracle"]["field"] = field
+    data["oracle"].update(oracle, field=field)
     return data
 
 
@@ -73,6 +74,8 @@ UNSHIPPED_PATHS = [
     pytest.param(oracle_l2({"kind": "constant", "value": 0.5}), "grid.csv", 0,
                  id="oracle-constant-field"),
     pytest.param(oracle_l2({"kind": "tanh"}), "grid.csv", 1, id="oracle-tanh-field"),
+    pytest.param(oracle_l2({"kind": "zero"}, lam_zero_transport=True), "grid.csv", 0,
+                 id="oracle-lam-zero-transport"),
     pytest.param({"mode": "oracle", "dim": 1, "lam": 1.0, "radius": 0.5, "dt": 0.1,
                   "t_final": 1.0}, "grid.csv", 1, id="oracle-without-initial"),
     pytest.param(minimal_kinetic(initial={
@@ -222,7 +225,7 @@ class TestCli:
         assert blocker.read_text() == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
 
-    @pytest.mark.parametrize("t_final", [200.0, 700.0])
+    @pytest.mark.parametrize("t_final", [200.0, 700.0, 709.0])
     def test_long_run_lp_norms_stay_finite(self, tmp_path, capsys, t_final):
         # density**p overflows from lam*d*t ~ 709/p on, the L^p norms do not
         data = json.loads(Path(scenario_path("two_particle_symmetric.json")).read_text())
@@ -236,6 +239,38 @@ class TestCli:
         norms = [v for rec in report["records"] for k, v in rec.items()
                  if k.startswith("lp_norm_p")]
         assert norms and all(math.isfinite(v) for v in norms)
+
+    @pytest.mark.parametrize("scenario, t_final", [
+        ("two_particle_symmetric.json", 710.0), ("two_particle_symmetric.json", 800.0),
+        ("picard_small.json", 800.0)])
+    def test_horizon_past_the_double_range_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch, scenario, t_final):
+        # e^{lam*d*t} overflows past t = 709.78, so no step may run
+        steps = []
+        monkeypatch.setattr(Ensemble, "stepped", lambda self, *args: steps.append(args))
+        data = json.loads(Path(scenario_path(scenario)).read_text())
+        data.update(dt=1.0, t_final=t_final)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: config key t_final: {t_final!r} is past the horizon "
+            "of this ensemble: e^(lam*dim*t) would take a density value past the "
+            "largest double or a phase volume to 0\n")
+        assert steps == [] and not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_agent_blowup_exits_3(self, tmp_path, capsys):
+        # lam = 1e300 takes the explicit Euler velocities to inf in the second step
+        data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
+        data.update(integrator="explicit_euler", allow_large_dt=True, lam=1e300)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "runtime abort: non-finite state after step at t=0.01\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value,extra", [
         ("dim", 1.0, {}),
@@ -418,6 +453,11 @@ class TestCli:
             return
         assert sorted(p.name for p in out.iterdir()) == sorted(
             ["resolved_config.json", "diagnostics.json", "diagnostics.csv", snapshots])
+        if data.get("oracle", {}).get("lam_zero_transport"):
+            # without growth there is no L^p law to check
+            report = json.loads((out / "diagnostics.json").read_text())
+            assert [c["name"] for c in report["assertions"]] == [
+                "mass_conservation", "sup_growth_bound"]
         if data.get("model") == "vicsek":
             first = np.loadtxt(out / snapshots, delimiter=",", skiprows=1, max_rows=30)
             assert np.all((first[:, 3] >= 2.0) & (first[:, 3] <= 3.0))
@@ -666,24 +706,40 @@ def test_kinetic_run_computes_each_lp_norm_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["kinetic_two_bump.json", "oracle_l2.json"])
-def test_float_and_repeated_lp_exponents_only_rename_their_checks(tmp_path, name):
-    # p = 2.0 and p = 2 are one exponent: [1.0, 2.0, 4.0, 2] gives the
-    # checks of [1, 2, 4] under the names of its own list, one per entry
-    reports = {}
-    for exps in ([1, 2, 4], [1.0, 2.0, 4.0, 2]):
+def test_float_lp_exponents_only_rename_their_checks(tmp_path, name):
+    # p = 2.0 is the exponent 2: [1.0, 2.0, 4.0] gives the checks of
+    # [1, 2, 4] under the names of its own list
+    reports = []
+    for exps in ([1, 2, 4], [1.0, 2.0, 4.0]):
         data = json.loads(Path(scenario_path(name)).read_text())
         data.setdefault("diagnostics", {})["lp_exponents"] = exps
-        cfg, out = tmp_path / f"{len(exps)}.json", tmp_path / f"out{len(exps)}"
+        cfg, out = tmp_path / f"{exps[0]!r}.json", tmp_path / f"out{exps[0]!r}"
         cfg.write_text(json.dumps(data))
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        reports[len(exps)] = json.loads((out / "diagnostics.json").read_text())["assertions"]
-    ints, floats = reports[3], reports[4]
+        reports.append(json.loads((out / "diagnostics.json").read_text())["assertions"])
+    ints, floats = reports
     n = len(ints) - 3  # the checks ahead of the three L^p ones
     prefix = ints[-1]["name"][:-1]  # lp_inequality_p or lp_law_p
-    names = [f"{prefix}{p}" for p in ("1.0", "2.0", "4.0", "2")]
     assert floats[:n] == ints[:n]
-    assert floats[n:] == [dict(c, name=name) for c, name in
-                          zip([ints[n], ints[n + 1], ints[n + 2], ints[n + 1]], names)]
+    assert floats[n:] == [dict(c, name=f"{prefix}{p}") for c, p in
+                          zip(ints[n:], ("1.0", "2.0", "4.0"))]
+
+
+@pytest.mark.parametrize("exps, repeated", [([1.0, 2.0, 4.0, 2], "2"), ([3, 3], "3")])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_repeated_lp_exponents_exit_2(tmp_path, capsys, exps, repeated, command):
+    # numerically equal exponents would give one check and one record
+    # column per entry
+    data = json.loads(Path(scenario_path("oracle_l2.json")).read_text())
+    data["diagnostics"]["lp_exponents"] = exps
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(data))
+    args = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", str(cfg), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"configuration error: config key diagnostics/lp_exponents: "
+                            f"{exps!r} lists the exponent {repeated} more than once\n")
 
 
 def _assertion_names(out):

@@ -27,14 +27,15 @@ def make_ensemble(t=0.0, lam=1.0, dim=1, n=4, seed=0):
                     initial_support_bound=2.0)
 
 
-def evolved_copy(ens, t):
-    """Exact linear-law evolution of the bookkeeping columns only."""
-    out = copy.deepcopy(ens)
-    out.t = t
+def evolved_copy(ens, t, density_error=0.0):
+    """The ensemble built at time t with the exact linear-law density values
+    (off by the relative density_error) and phase volumes: only the
+    bookkeeping columns evolve."""
     factor = np.exp(ens.lam * ens.dim * t)
-    out.density_value = ens.density_value * factor
-    out.phase_volume = ens.phase_volume / factor
-    return out
+    return Ensemble(t, ens.dim, ens.lam, ens.radius, ens.x, ens.v, ens.mass,
+                    ens.density_value * factor * (1 + density_error),
+                    ens.phase_volume / factor,
+                    initial_support_bound=ens.initial_support_bound)
 
 
 # the per-snapshot series a run records, read off snapshots
@@ -103,8 +104,7 @@ class TestGrowthLaws:
 
     def test_perturbed_density_fails(self):
         ens = make_ensemble()
-        bad = evolved_copy(ens, 1.0)
-        bad.density_value = bad.density_value * (1 + 1e-6)
+        bad = evolved_copy(ens, 1.0, density_error=1e-6)
         assert not check_density_growth([ens, bad]).passed
         assert check_volume_law([ens, bad]).passed
 

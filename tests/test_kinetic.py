@@ -205,34 +205,66 @@ class TestHasMass:
 
 class TestEnsembleSteps:
     @pytest.mark.parametrize("field, value, message", [
-        ("x", np.inf, "x: non-finite"), ("v", np.nan, "v: non-finite"),
-        ("density_value", np.inf, "density_value: non-finite"),
-        ("density_value", -1.0, "non-negative"),
-        ("phase_volume", 0.0, "strictly positive")])
+        ("x", np.inf, "x: non-finite"), ("v", np.nan, "v: non-finite")])
     def test_stepped_checks_new_arrays(self, field, value, message):
-        # x and v are arguments; e^{lam*d*t} takes a density value to inf
-        # past t = 709.78 and a small phase volume to 0 before that; a
-        # negative density value can only be mutated in
-        ens = Ensemble(0.0, 1, 1.0, 3.0, [[0.0]], [[1.0]], [1e-300], [1.0], [1e-300],
-                       initial_support_bound=1.0)
+        ens = two_particle_ensemble()
         new = {"x": ens.x.copy(), "v": ens.v.copy()}
-        t = 1.0
-        if field in new:
-            new[field][0] = value
-        elif value == -1.0:
-            ens.density_value[0] = value
-        else:
-            t = 800.0 if field == "density_value" else 700.0
-        with pytest.raises(InvalidInputError, match=message), np.errstate(over="ignore"):
-            ens.stepped(t, **new)
+        new[field][0] = value
+        with pytest.raises(InvalidInputError, match=message):
+            ens.stepped(1.0, **new)
 
-    def test_stepped_grows_from_its_own_time(self):
+    @pytest.mark.parametrize("density, volume, t_in, t_past", [
+        (1.0, 1.0, 709.0, 710.0),  # e^t itself overflows past t = 709.78
+        (1e300, 1.0, 18.0, 20.0),  # 1e300 * e^t overflows first
+        (1.0, 1e-300, 53.0, 56.0),  # 1e-300 / e^t rounds to 0 first
+    ], ids=["factor-overflows", "density-overflows", "volume-rounds-to-0"])
+    def test_stepped_enforces_the_horizon_rule(self, density, volume, t_in, t_past):
+        ens = Ensemble(0.0, 1, 1.0, 3.0, [[0.0]], [[1.0]], [density * volume], [density],
+                       [volume], initial_support_bound=1.0)
+        inside = ens.stepped(t_in, ens.x, ens.v)
+        assert np.isfinite(inside.density_value).all() and (inside.phase_volume > 0).all()
+        with pytest.raises(InvalidInputError, match=f"t={t_past!r} is past the horizon"):
+            ens.stepped(t_past, ens.x, ens.v)
+        # the rule holds exactly where the arithmetic leaves the double range
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in np.linspace(t_in, t_past, 1001):
+                grow = np.exp(t)
+                fits = np.isfinite(density * grow) and volume / grow > 0
+                assert ens.reaches(t) is bool(fits)
+
+    def test_stepped_does_not_depend_on_the_path(self):
         ens = two_particle_ensemble(lam=0.5)
-        out = ens.stepped(0.25, ens.x, ens.v).stepped(1.0, ens.x, ens.v)
-        grow = np.exp(0.5 * 1 * (1.0 - 0.25))
-        assert out.t == 1.0
-        assert np.array_equal(out.density_value, ens.density_value * np.exp(0.125) * grow)
-        assert np.array_equal(out.phase_volume, ens.phase_volume / np.exp(0.125) / grow)
+        x, v = ens.x + 1.0, ens.v * 0.5
+        direct = ens.stepped(1.0, x, v)
+        for via in (0.25, 0.3, 2.0):
+            out = ens.stepped(via, ens.x, ens.v).stepped(1.0, x, v)
+            assert out.t == direct.t == 1.0
+            for name in ("x", "v", "mass", "density_value", "phase_volume"):
+                assert np.array_equal(getattr(out, name), getattr(direct, name))
+        assert np.array_equal(direct.density_value, ens.density_value * np.exp(0.5))
+        assert np.array_equal(direct.phase_volume, ens.phase_volume / np.exp(0.5))
+
+    def test_stepped_moves_only_x_and_v(self):
+        n = 100_000
+        ens = Ensemble(0.0, 1, 1.0, 1.0, np.zeros((n, 1)), np.zeros((n, 1)),
+                       np.ones(n), np.ones(n), np.ones(n), initial_support_bound=1.0)
+        x, v = ens.x + 1.0, ens.v + 0.5
+        tracemalloc.start()
+        try:
+            out = ens.stepped(0.5, x, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n  # less than one float per particle: the finiteness masks only
+        assert out.x is x and out.v is v
+        assert out.mass is ens.mass and out.density0 is ens.density0
+        assert out.volume0 is ens.volume0
+
+    def test_built_arrays_are_read_only(self):
+        ens = two_particle_ensemble()
+        for a in (ens.mass, ens.density0, ens.volume0):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = -1.0
 
     def test_support_bound_violation_aborts_at_step_one(self):
         # the pair's speeds decay from 1 to e^{-lam*dt}, above a declared M0 = 0.5
@@ -263,16 +295,25 @@ class TestEnsembleSteps:
 
     @pytest.mark.parametrize("solver", ["linear", "self_consistent"])
     def test_density_overflow_aborts_the_run(self, solver):
-        # e^{lam*d*t} overflows past t = 709.78
+        # e^{lam*d*t} overflows past t = 709.78: the step to t = 710 stops
+        # the run with the horizon rule's message and no overflow warning
         ens = Ensemble(0.0, 1, 1.0, 0.5, [[0.0]], [[0.5]], [1.0], [1.0], [1.0],
                        initial_support_bound=0.5)
-        with pytest.raises(InvalidInputError, match="density_value: non-finite"), \
-                np.errstate(over="ignore"):
+        with pytest.raises(InvalidInputError, match="t=710.0 is past the horizon"):
             if solver == "linear":
                 run_linear(ens, lambda t, X: np.zeros_like(X), T=800.0, dt=1.0,
                            snapshot_stride=100)
             else:
                 run_self_consistent(ens, T=800.0, dt=1.0, snapshot_stride=100)
+
+    def test_growth_laws_hold_over_1e5_steps(self):
+        ens = two_particle_ensemble()
+        res = run_linear(ens, lambda t, X: np.zeros_like(X), T=100.0, dt=1e-3,
+                         snapshot_stride=10_000)
+        assert res.snapshot_steps[-1] == 100_000
+        assert diag.check_density_growth(res.snapshots).value <= 1e-12
+        assert diag.check_volume_law(res.snapshots).value <= 1e-12
+        assert all(snap.check_mass_identity() for snap in res.snapshots)
 
 
 class TestMomentsAndFields:
