@@ -8,7 +8,6 @@ thread count before numpy starts.
 __all__ = [
     "AgentState",
     "Ensemble",
-    "HeadingState",
 ]
 
 __version__ = "0.1.0"

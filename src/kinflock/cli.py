@@ -2,7 +2,9 @@
 
 Subcommands:
   run           execute a scenario config; exit 0 iff all assertions pass
-  validate      check a config file against the schema and semantic rules
+  validate      check a config file against the schema and semantic rules,
+                and a kinetic or picard config's initial ensemble against
+                the horizon rule, as `run` does before its first step
   diff-reports  compare two diagnostics.json files
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
@@ -28,7 +30,7 @@ if "numpy" not in sys.modules:
 
 from .config import load_config  # noqa: E402
 from .errors import ConfigError, KinflockError  # noqa: E402
-from .runner import run  # noqa: E402
+from .runner import run, sample_ensemble  # noqa: E402
 
 
 def _cmd_run(args):
@@ -63,10 +65,15 @@ def _cmd_run(args):
 
 def _cmd_validate(args):
     try:
-        load_config(args.config)
+        cfg = load_config(args.config)
+        if cfg["mode"] in ("kinetic", "picard"):
+            sample_ensemble(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except KinflockError as exc:
+        print(f"runtime abort: {exc}", file=sys.stderr)
+        return 3
     print("config is valid")
     return 0
 

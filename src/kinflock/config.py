@@ -3,9 +3,11 @@
 Unknown keys are rejected by the shipped schema (typos in scientific
 parameters should fail loudly).  A single 64-bit scenario seed is split
 into independent streams with numpy's SeedSequence in a fixed order:
-child 0 drives initial sampling, child 1 agent noise; child 2 is reserved
-and unused (the Lipschitz estimate of picard mode samples with a fixed
-`default_rng(0)`, independent of the seed).
+child 0 drives initial sampling; children 1 and 2 are reserved and unused.
+Child 1 drew the noise of the Vicsek heading model, which is removed; it
+stays reserved so that the streams of every config keep their draws.  The
+Lipschitz estimate of picard mode samples with a fixed `default_rng(0)`,
+independent of the seed.
 
 The schema is checked by `check_schema`, which implements the subset of
 JSON Schema that the shipped schema uses, with two rules stricter than
@@ -36,7 +38,6 @@ _DEFAULTS = {
     "n_agents": 100,
     "integrator": "rk4",
     "kernel": {"kind": "indicator"},
-    "vicsek": {"speed": 0.05, "noise": 0.0},
     "initial": {
         "amplitude": 1.0,
         "x_sigma": 0.25,
@@ -150,7 +151,7 @@ class ScenarioConfig:
         return self.data[key]
 
     def seed_streams(self):
-        """(sampling_rng, noise_rng, reserved_rng), deterministically
+        """(sampling_rng, reserved_rng, reserved_rng), deterministically
         derived from the scenario seed."""
         children = np.random.SeedSequence(self.data["seed"]).spawn(3)
         return tuple(np.random.default_rng(c) for c in children)
@@ -178,15 +179,8 @@ def validate_config(data: dict) -> ScenarioConfig:
     if abs(round(t_final / dt) * dt - t_final) > 1e-9 * t_final:
         raise ConfigError(f"t_final={t_final!r} is not a whole number of "
                           f"steps of dt={dt!r}")
-    if mode in ("kinetic", "picard") and "initial" not in data:
+    if mode != "oracle" and "initial" not in data:
         raise ConfigError(f"{mode} mode requires an initial distribution spec")
-    if mode == "agents" and merged["model"] != "vicsek" and "initial" not in data:
-        raise ConfigError("agents mode requires an initial distribution spec")
-    if mode == "agents" and merged["model"] == "vicsek" and merged["dim"] != 2:
-        raise ConfigError("vicsek model requires dim = 2")
-    if mode == "agents" and merged["model"] == "vicsek" and dt != 1:
-        raise ConfigError(f"config key dt: {dt!r} must be 1 for the vicsek model, "
-                          "whose agents move by `speed` once per step")
     if mode == "oracle" and merged["dim"] != 1:
         raise ConfigError("oracle mode is 1D only")
     x_min, x_max = merged["oracle"]["x_min"], merged["oracle"]["x_max"]

@@ -283,12 +283,6 @@ def write_agent_snapshots(path, snapshots, steps):
         *s.positions.T, *s.velocities.T]))
 
 
-def write_heading_snapshots(path, snapshots, steps):
-    header = ["step", "t", "id", "x0", "x1", "heading"]
-    _write_csv(path, header, _snapshot_blocks(steps, snapshots, lambda s: [
-        *s.positions.T, s.headings]))
-
-
 def _mesh_blocks(outer, inner, values):
     """Blocks for a table with one row per (outer, inner) pair, outer-major:
     the `outer` labels, the `inner` label columns, then the `values`

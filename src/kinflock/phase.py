@@ -7,8 +7,9 @@ product density_value * phase_volume equals the (constant) mass: both are
 the values the ensemble was built with, times and over the one growth
 factor e^{lam*dim*(t - t0)}, computed when they are read.  The horizon
 rule (`Ensemble.reaches`) marks where that factor leaves the double range.
-Every solver steps its characteristics with `exact_step` and takes its
-step count and times from `march`.
+Every solver takes its step count and times from `march`, and every
+characteristic step (particle, grid, or agent under the exponential
+integrator) is `exact_step`.
 """
 
 from __future__ import annotations
@@ -79,39 +80,6 @@ class AgentState:
         self.velocities = _as_points(self.velocities, self.dim, "velocities")
         if len(self.positions) != len(self.velocities):
             raise InvalidInputError("positions and velocities must have equal length")
-
-    @property
-    def n(self):
-        return len(self.positions)
-
-
-def wrap_angle(theta):
-    """Normalize angles into (-pi, pi]."""
-    theta = np.asarray(theta, dtype=float)
-    out = -np.mod(-theta + np.pi, 2.0 * np.pi) + np.pi
-    return out
-
-
-@dataclass
-class HeadingState:
-    """Planar constant-speed agents with headings, for the discrete
-    heading-alignment model."""
-
-    t: int
-    positions: np.ndarray  # (N, 2)
-    headings: np.ndarray  # (N,), in (-pi, pi]
-    speed: float
-
-    def __post_init__(self):
-        self.positions = _as_points(self.positions, 2, "positions")
-        self.headings = np.asarray(self.headings, dtype=float).reshape(-1)
-        if len(self.headings) != len(self.positions):
-            raise InvalidInputError("positions and headings must have equal length")
-        if not np.all(np.isfinite(self.headings)):
-            raise InvalidInputError("headings: non-finite entries")
-        if not (self.speed > 0):
-            raise InvalidInputError("speed must be strictly positive")
-        self.headings = wrap_angle(self.headings)
 
     @property
     def n(self):

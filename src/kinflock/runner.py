@@ -25,7 +25,7 @@ from .config import ScenarioConfig
 from .errors import ConfigError
 from .kinetic import (InitialDistributionSpec, has_mass, rejection_sample, run_linear,
                       run_self_consistent, sample_initial)
-from .phase import AgentState, HeadingState, march
+from .phase import AgentState, march
 
 
 def initial_spec_from_config(cfg: ScenarioConfig) -> InitialDistributionSpec:
@@ -115,7 +115,7 @@ def _add_or_warn(report, check, allow_large_dt, *warning):
         report.add_check(check)
 
 
-def _sample_initial(cfg: ScenarioConfig):
+def sample_ensemble(cfg: ScenarioConfig):
     """The initial ensemble of a kinetic or Picard run; the seed streams
     are created only for monte_carlo sampling, the one kind that draws.
     A t_final past the ensemble's horizon rule is a configuration error
@@ -135,7 +135,7 @@ def _sample_initial(cfg: ScenarioConfig):
 
 def run_kinetic(cfg: ScenarioConfig, out_dir):
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "kinetic"))
-    ens0 = _sample_initial(cfg)
+    ens0 = sample_ensemble(cfg)
     result = run_self_consistent(ens0, cfg["t_final"], cfg["dt"], cfg["delta"],
                                  snapshot_stride=cfg["snapshot_stride"])
     snaps = result.snapshots
@@ -164,32 +164,11 @@ def run_kinetic(cfg: ScenarioConfig, out_dir):
 
 
 def run_agents(cfg: ScenarioConfig, out_dir):
-    from .agents import integrate_agents, vicsek_step
+    from .agents import integrate_agents
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "agents"))
-    rng, noise_rng, _ = cfg.seed_streams()
-    model = cfg["model"]
+    state, _ = sample_agents(cfg, cfg.seed_streams()[0])
+    model, lam, rhs = cfg["model"], cfg["lam"], agent_rhs(cfg)
     t_final, dt, stride = cfg["t_final"], cfg["dt"], cfg["snapshot_stride"]
-
-    if model == "vicsek":
-        if "initial" in cfg.data:
-            xb = np.asarray(cfg["initial"]["x_bounds"], float)
-        else:
-            xb = np.array([[0.0, 1.0], [0.0, 1.0]])
-        n = cfg["n_agents"]
-        pos = rng.uniform(xb[:, 0], xb[:, 1], size=(n, 2))
-        head = rng.uniform(-np.pi, np.pi, size=n)
-        state = HeadingState(0, pos, head, cfg["vicsek"]["speed"])
-        snaps, steps = march(state, lambda s, k, t: vicsek_step(
-            s, cfg["radius"], cfg["vicsek"]["noise"], noise_rng), t_final, dt, stride)
-        for st in snaps:
-            mean_vec = np.array([np.cos(st.headings).mean(), np.sin(st.headings).mean()]) if st.n else np.zeros(2)
-            report.records.append({"t": float(st.t),
-                                   "polarization": float(np.linalg.norm(mean_vec))})
-        kio.write_heading_snapshots(os.path.join(out_dir, "agents.csv"), snaps, steps)
-        return report
-
-    state, _ = sample_agents(cfg, rng)
-    lam, rhs = cfg["lam"], agent_rhs(cfg)
 
     def step(s, k, t):
         s = integrate_agents(s, rhs, dt, cfg["integrator"], lam=lam)
@@ -252,7 +231,7 @@ def run_oracle_mode(cfg: ScenarioConfig, out_dir):
 def run_picard(cfg: ScenarioConfig, out_dir):
     from .fixed_point import lipschitz_modulus, picard_solve
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "picard"))
-    ens0 = _sample_initial(cfg)
+    ens0 = sample_ensemble(cfg)
     pc = cfg["picard"]
     result = picard_solve(ens0, cfg["radius"], cfg["delta"],
                           cfg["t_final"], pc["n_time_nodes"], pc["n_space_nodes"],

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kinflock.agents import cutoff_cs_rhs, integrate_agents, vicsek_step
+from kinflock.agents import cutoff_cs_rhs, integrate_agents
 from kinflock.config import validate_config
 from kinflock.errors import IntegrationBlowupError, InvalidInputError
-from kinflock.phase import AgentState, HeadingState
+from kinflock.phase import AgentState
 from kinflock.runner import agent_rhs
 from kinflock.spatial import brute_force_radius
 
@@ -22,43 +22,6 @@ def configured_rhs(model, r=1.0, lam=1.0, dim=2):
         "dt": 0.1, "t_final": 0.1,
         "initial": {"kind": "box_indicator", "x_bounds": [[0.0, 1.0]] * dim,
                     "v_bounds": [[-1.0, 1.0]] * dim}}))
-
-
-class TestVicsek:
-    def test_shared_heading_is_fixed_point(self):
-        rng = np.random.default_rng(0)
-        pos = rng.uniform(0, 1, size=(10, 2))
-        state = HeadingState(0, pos, np.full(10, 0.7), speed=0.1)
-        out = vicsek_step(state, r=2.0, noise_amplitude=0.0, rng=rng)
-        assert np.allclose(out.headings, 0.7, atol=1e-12)
-
-    def test_single_agent_advances(self):
-        rng = np.random.default_rng(0)
-        theta = 0.3
-        state = HeadingState(0, np.zeros((1, 2)), np.array([theta]), speed=0.5)
-        out = vicsek_step(state, r=1.0, noise_amplitude=0.0, rng=rng)
-        assert out.headings[0] == pytest.approx(theta, abs=1e-14)
-        assert out.positions[0, 0] == pytest.approx(0.5 * np.cos(theta), abs=1e-14)
-        assert out.positions[0, 1] == pytest.approx(0.5 * np.sin(theta), abs=1e-14)
-
-    def test_two_agents_average_to_quarter_pi(self):
-        rng = np.random.default_rng(0)
-        state = HeadingState(0, np.zeros((2, 2)), np.array([np.pi / 2, 0.0]), speed=0.1)
-        out = vicsek_step(state, r=1.0, noise_amplitude=0.0, rng=rng)
-        assert np.allclose(out.headings, np.pi / 4, atol=1e-14)
-
-    def test_negative_noise_rejected(self):
-        rng = np.random.default_rng(0)
-        state = HeadingState(0, np.zeros((1, 2)), np.array([0.0]), speed=0.1)
-        with pytest.raises(InvalidInputError):
-            vicsek_step(state, r=1.0, noise_amplitude=-0.1, rng=rng)
-
-    def test_degenerate_mean_keeps_heading(self):
-        # two opposite headings sum to the zero vector
-        rng = np.random.default_rng(0)
-        state = HeadingState(0, np.zeros((2, 2)), np.array([0.0, np.pi]), speed=0.1)
-        out = vicsek_step(state, r=1.0, noise_amplitude=0.0, rng=rng)
-        assert np.allclose(out.headings, [0.0, np.pi], atol=1e-12)
 
 
 class TestMeanFieldRhs:

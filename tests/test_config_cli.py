@@ -60,6 +60,25 @@ def oracle_l2(field, **oracle):
 # the only interaction; each now exits 2.
 REMOVED_KERNELS = [{"kind": "constant"}, {"kind": "inverse_quadratic", "scale": 0.5}]
 
+# The shipped scenario of the Vicsek heading model, which the schema no
+# longer accepts: neither its model nor its `vicsek` block.
+VICSEK_BASIC = {"mode": "agents", "model": "vicsek", "dim": 2, "lam": 1.0, "radius": 0.3,
+                "t_final": 50, "dt": 1.0, "seed": 42, "n_agents": 200, "snapshot_stride": 5,
+                "vicsek": {"speed": 0.03, "noise": 0.1}}
+
+# Configs of removed interactions, each with the one line it now exits 2 with.
+REMOVED_INPUTS = [
+    pytest.param(small_agents("cs", kernel), f"kernel/kind: '{kernel['kind']}' is not one "
+                 "of ['indicator']", id=kernel["kind"]) for kernel in REMOVED_KERNELS
+] + [
+    pytest.param(VICSEK_BASIC, "model: 'vicsek' is not one of ['cs', 'cutoff_cs', 'mt']",
+                 id="vicsek-basic"),
+    pytest.param(dict(small_agents("cutoff_cs", {"kind": "indicator"}),
+                      vicsek=VICSEK_BASIC["vicsek"]),
+                 "(root): additional properties are not allowed ('vicsek' was unexpected)",
+                 id="vicsek-block"),
+]
+
 # Schema-reachable paths that no shipped scenario runs, with the exit code
 # each gives today.  Two oracle runs exit 1: on the default 128 x 128 mesh
 # the semi-Lagrangian grid loses more mass than the 1e-3 quadrature floor
@@ -86,7 +105,7 @@ UNSHIPPED_PATHS = [
                   "dt": 1.0, "t_final": 2.0, "n_agents": 30,
                   "initial": {"kind": "box_indicator", "x_bounds": [[2.0, 3.0], [5.0, 6.0]],
                               "v_bounds": [[0.0, 0.0], [0.0, 0.0]]}},
-                 "agents.csv", 0, id="vicsek-initial-bounds"),
+                 "agents.csv", 2, id="vicsek-initial-bounds"),
 ]
 
 
@@ -159,7 +178,7 @@ class TestValidation:
     def test_shipped_scenarios_validate(self):
         for name in ("two_particle_symmetric.json", "kinetic_two_bump.json",
                      "oracle_l2.json", "picard_small.json",
-                     "agents_cluster.json", "vicsek_basic.json"):
+                     "agents_cluster.json"):
             load_config(scenario_path(name))
 
     def test_resolved_config_round_trips(self):
@@ -253,14 +272,30 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"configuration error: config key t_final: {t_final!r} is past the horizon "
-            "of this ensemble: e^(lam*dim*t) would take a density value past the "
-            "largest double or a phase volume to 0\n")
+        for args in (["run", "--out", str(out)], ["validate"]):
+            assert main([*args, "--config", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                f"configuration error: config key t_final: {t_final!r} is past the horizon "
+                "of this ensemble: e^(lam*dim*t) would take a density value past the "
+                "largest double or a phase volume to 0\n")
         assert steps == [] and not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_validate_stops_where_run_stops_before_its_first_step(self, tmp_path, capsys):
+        # zero-width x cells give zero phase volumes, which the sampled
+        # ensemble refuses: validate samples it too and reports the same line
+        data = minimal_kinetic()
+        data["initial"]["x_bounds"] = [[0.0, 0.0]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        (run_code, run), (validate_code, validate) = [
+            (main([*args, "--config", str(cfg)]), capsys.readouterr())
+            for args in (["run", "--out", str(out)], ["validate"])]
+        assert run_code != 0 and validate_code == run_code
+        assert validate.out == run.out == "" and validate.err == run.err
+        assert run.err.count("\n") == 1 and not out.exists()
+
     def test_agent_blowup_exits_3(self, tmp_path, capsys):
         # lam = 1e300 takes the explicit Euler velocities to inf in the second step
         data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
@@ -334,8 +369,8 @@ class TestCli:
 
     @pytest.mark.parametrize("scenario, change", [
         ("agents_cluster.json", lambda d: d["initial"].update(amplitude=0)),
-        ("vicsek_basic.json", lambda d: d.update(dim=3)),
-    ], ids=["agents-zero-mass", "vicsek-3d"])
+        ("two_particle_symmetric.json", lambda d: d.update(dt=1.0, t_final=800.0)),
+    ], ids=["agents-zero-mass", "horizon"])
     def test_config_error_found_while_running_writes_no_resolved_config(
             self, tmp_path, capsys, scenario, change):
         data = json.loads(Path(scenario_path(scenario)).read_text())
@@ -347,18 +382,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("kernel", REMOVED_KERNELS, ids=lambda k: k["kind"])
+    @pytest.mark.parametrize("data, message", REMOVED_INPUTS)
     @pytest.mark.parametrize("command", ["run", "validate"])
-    def test_removed_kernels_exit_2(self, tmp_path, capsys, kernel, command):
+    def test_removed_kernels_exit_2(self, tmp_path, capsys, data, message, command):
+        # the smooth kernels and the Vicsek heading model
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(small_agents("cs", kernel)))
+        cfg.write_text(json.dumps(data))
         out = tmp_path / "out"
         args = ["--out", str(out)] if command == "run" else []
         assert main([command, "--config", str(cfg), *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"configuration error: config key kernel/kind: "
-                                f"'{kernel['kind']}' is not one of ['indicator']\n")
+        assert captured.err == f"configuration error: config key {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario, change, key", [
@@ -388,8 +423,7 @@ class TestCli:
     @pytest.mark.parametrize("name, snapshots", [
         ("two_particle_symmetric.json", "particles.csv"),
         ("kinetic_two_bump.json", "particles.csv"),
-        ("agents_cluster.json", "agents.csv"),
-        ("vicsek_basic.json", "agents.csv")])
+        ("agents_cluster.json", "agents.csv")])
     def test_snapshot_times_are_step_times_dt(self, tmp_path, capsys, name, snapshots):
         # the shipped scenarios that write particle or agent snapshots; 100
         # steps of 0.01 summed one by one end at 1.0000000000000007, not 1.0
@@ -417,31 +451,6 @@ class TestCli:
         assert state.n == ens.n == 100
         assert np.array_equal(state.positions, ens.x) and np.array_equal(state.velocities, ens.v)
 
-    @pytest.mark.parametrize("command", ["run", "validate"])
-    def test_vicsek_requires_dt_one(self, tmp_path, capsys, command):
-        # a Vicsek step moves agents by `speed` whatever dt is, so dt = 0.5
-        # and t_final = 5 would run 10 steps and end at t = 10
-        data = json.loads(Path(scenario_path("vicsek_basic.json")).read_text())
-        data.update(dt=0.5, t_final=5)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(data))
-        out = tmp_path / "out"
-        args = ["--out", str(out)] if command == "run" else []
-        assert main([command, "--config", str(cfg), *args]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("configuration error: config key dt: 0.5 must be 1 for the "
-                                "vicsek model, whose agents move by `speed` once per step\n")
-        assert not out.exists()
-
-    def test_validate_rejects_vicsek_outside_2d(self, tmp_path, capsys):
-        data = json.loads(Path(scenario_path("vicsek_basic.json")).read_text())
-        data["dim"] = 3
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(data))
-        assert main(["validate", "--config", str(cfg)]) == 2
-        assert "vicsek model requires dim = 2" in capsys.readouterr().err
-
     @pytest.mark.parametrize("data, snapshots, code", UNSHIPPED_PATHS)
     def test_unshipped_schema_paths_run(self, tmp_path, capsys, data, snapshots, code):
         cfg = tmp_path / "cfg.json"
@@ -458,10 +467,6 @@ class TestCli:
             report = json.loads((out / "diagnostics.json").read_text())
             assert [c["name"] for c in report["assertions"]] == [
                 "mass_conservation", "sup_growth_bound"]
-        if data.get("model") == "vicsek":
-            first = np.loadtxt(out / snapshots, delimiter=",", skiprows=1, max_rows=30)
-            assert np.all((first[:, 3] >= 2.0) & (first[:, 3] <= 3.0))
-            assert np.all((first[:, 4] >= 5.0) & (first[:, 4] <= 6.0))
 
     @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 5.96 GiB"),
                                      RuntimeError("unexpected")])
@@ -653,9 +658,6 @@ def _monte_carlo_kinetic():
     pytest.param(_monte_carlo_kinetic(), ["numpy.random"], id="kinetic-monte-carlo"),
     pytest.param(small_agents("cutoff_cs", {"kind": "indicator"}),
                  ["kinflock.agents", "numpy.random"], id="agents"),
-    pytest.param({"mode": "agents", "model": "vicsek", "dim": 2, "lam": 1.0, "radius": 0.3,
-                  "dt": 1.0, "t_final": 2.0, "n_agents": 30},
-                 ["kinflock.agents", "numpy.random"], id="vicsek"),
     pytest.param(oracle_l2({"kind": "zero"}), ["kinflock.oracle"], id="oracle"),
     # lipschitz_modulus draws its sample pairs from numpy.random
     pytest.param(minimal_kinetic(mode="picard", delta=0.1,

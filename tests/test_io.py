@@ -24,7 +24,7 @@ from kinflock.diagnostics import DiagnosticsReport
 from kinflock.fixed_point import FieldGrid
 from kinflock.io import fmt
 from kinflock.oracle import PhaseGrid
-from kinflock.phase import AgentState, Ensemble, HeadingState
+from kinflock.phase import AgentState, Ensemble
 
 SPECIAL = [-0.0, 5e-324, 0.1, 1e22, 3.0, -7.0, 2.0 ** 53, -1e-300, np.pi]
 POSITIVE = [5e-324, 0.1, 1e22, 3.0, 2.0 ** 53, 1e-300, np.pi]
@@ -99,13 +99,6 @@ def ref_agents(path, snapshots, steps):
     _ref_rows(path, header, (
         [str(step), fmt(s.t), str(i)] + [fmt(c) for c in s.positions[i]]
         + [fmt(c) for c in s.velocities[i]]
-        for step, s in zip(steps, snapshots) for i in range(s.n)))
-
-
-def ref_headings(path, snapshots, steps):
-    _ref_rows(path, ["step", "t", "id", "x0", "x1", "heading"], (
-        [str(step), fmt(s.t), str(i), fmt(s.positions[i][0]),
-         fmt(s.positions[i][1]), fmt(s.headings[i])]
         for step, s in zip(steps, snapshots) for i in range(s.n)))
 
 
@@ -190,14 +183,6 @@ def test_agents(tmp_path, rows_per_write, dim):
                         _values(rng, n, SPECIAL, (dim,)))
              for n, t in [(21, 0.0), (0, 0.25), (9, 5e-324)]]
     assert_same(tmp_path, kio.write_agent_snapshots, ref_agents, snaps, [0, 1, 2])
-
-
-def test_headings(tmp_path, rows_per_write):
-    rng = np.random.default_rng(20)
-    snaps = [HeadingState(t, _values(rng, n, SPECIAL, (2,)),
-                          rng.uniform(-np.pi, np.pi, n), 0.5)
-             for n, t in [(7, 0), (0, 1), (30, 2)]]
-    assert_same(tmp_path, kio.write_heading_snapshots, ref_headings, snaps, [0, 1, 2])
 
 
 @pytest.mark.parametrize("n_x,n_v", [(5, 3), (128, 128)])

@@ -23,7 +23,7 @@ jsonschema = pytest.importorskip("jsonschema")
 SCHEMA = _schema()
 REFERENCE = jsonschema.Draft7Validator(SCHEMA)
 SCENARIOS = ("two_particle_symmetric.json", "kinetic_two_bump.json", "oracle_l2.json",
-             "picard_small.json", "agents_cluster.json", "vicsek_basic.json")
+             "picard_small.json", "agents_cluster.json")
 
 
 def _bench_workloads():
