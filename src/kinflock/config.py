@@ -36,7 +36,7 @@ _DEFAULTS = {
     "allow_large_dt": False,
     "model": "cutoff_cs",
     "n_agents": 100,
-    "integrator": "rk4",
+    "integrator": "exponential",
     "kernel": {"kind": "indicator"},
     "initial": {
         "amplitude": 1.0,
@@ -172,9 +172,8 @@ def validate_config(data: dict) -> ScenarioConfig:
                           "appears in the field denominator)")
     if merged["lam"] * merged["dt"] > 1.0 + 1e-12 and not merged["allow_large_dt"]:
         raise ConfigError(
-            "lam*dt must be <= 1 to preserve the discrete velocity max "
-            "principle; set allow_large_dt to override (support checks then "
-            "downgrade to warnings)")
+            "lam*dt must be <= 1, since each step freezes the field that "
+            "velocities relax toward; set allow_large_dt to lift this rule")
     t_final, dt = merged["t_final"], merged["dt"]
     if abs(round(t_final / dt) * dt - t_final) > 1e-9 * t_final:
         raise ConfigError(f"t_final={t_final!r} is not a whole number of "
@@ -193,8 +192,9 @@ def validate_config(data: dict) -> ScenarioConfig:
             raise ConfigError("initial bounds must have one [lo, hi] pair per dimension")
         for key in ("x_bounds", "v_bounds"):
             for i, (lo, hi) in enumerate(ib[key]):
-                if lo > hi:
-                    raise ConfigError(f"config key initial/{key}/{i}: lo > hi in {[lo, hi]!r}")
+                if not lo < hi:
+                    raise ConfigError(f"config key initial/{key}/{i}: lo must be less "
+                                      f"than hi, got {[lo, hi]!r}")
         _check_centres(ib, merged["dim"])
     exps = merged["diagnostics"]["lp_exponents"]
     repeated = [p for i, p in enumerate(exps) if p in exps[:i]]

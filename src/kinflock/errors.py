@@ -17,10 +17,6 @@ class InvalidInputError(KinflockError):
     """Rejected input to a numerical routine (non-finite data, bad shapes)."""
 
 
-class IntegrationBlowupError(KinflockError):
-    """A time step produced non-finite state."""
-
-
 class InvariantViolationError(KinflockError):
     """A structurally guaranteed invariant failed at runtime.
 

@@ -8,8 +8,7 @@ the values the ensemble was built with, times and over the one growth
 factor e^{lam*dim*(t - t0)}, computed when they are read.  The horizon
 rule (`Ensemble.reaches`) marks where that factor leaves the double range.
 Every solver takes its step count and times from `march`, and every
-characteristic step (particle, grid, or agent under the exponential
-integrator) is `exact_step`.
+characteristic step (particle, grid or agent) is `exact_step`.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ def _as_points(arr, dim, name):
 def exact_step(x, v, E, lam, dt):
     """(x, v) after time dt along dX/dt = V, dV/dt = lam*(E - V) with the
     field E frozen: v relaxes to E by e^{-lam*dt}.  A negative dt traces the
-    characteristic backward; the arrays broadcast against each other."""
+    characteristic backward; the arrays, lam among them, broadcast against
+    each other."""
     decay = np.exp(-lam * dt)
     dv = v - E
     return x + E * dt + dv * (1.0 - decay) / lam, E + dv * decay

@@ -8,8 +8,9 @@ exit codes by the CLI.
 
 A run loads only the code its mode executes: each mode imports its solver
 module (agents, oracle, fixed_point) when it starts, the seed streams, and
-with them numpy.random, are created only by sampling that draws, and
-logging is imported only to warn under allow_large_dt.
+with them numpy.random, are created only by sampling that draws.  Agents
+take the exact frozen-field step toward their local mean velocity, so
+their speed check, like the kinetic support check, holds at any dt.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .config import ScenarioConfig
 from .errors import ConfigError
 from .kinetic import (InitialDistributionSpec, has_mass, rejection_sample, run_linear,
                       run_self_consistent, sample_initial)
-from .phase import AgentState, march
+from .phase import AgentState, exact_step, march
 
 
 def initial_spec_from_config(cfg: ScenarioConfig) -> InitialDistributionSpec:
@@ -47,15 +48,6 @@ def initial_spec_from_config(cfg: ScenarioConfig) -> InitialDistributionSpec:
         x_sigma=ib["x_sigma"],
         v_sigma=ib["v_sigma"],
     )
-
-
-def agent_rhs(cfg: ScenarioConfig):
-    """The acceleration function state -> (N, d) of the configured model,
-    all with the strict cut-off: cs normalizes by the number of agents,
-    cutoff_cs and mt by the neighbour count."""
-    from .agents import cutoff_cs_rhs
-    lam, r, model = cfg["lam"], cfg["radius"], cfg["model"]
-    return lambda s: cutoff_cs_rhs(s, lam, r, local=model != "cs")
 
 
 def oracle_field_from_config(cfg: ScenarioConfig):
@@ -105,16 +97,6 @@ def _series(report, key):
     return [rec[key] for rec in report.records]
 
 
-def _add_or_warn(report, check, allow_large_dt, *warning):
-    """Add the check to the report, or under allow_large_dt log the
-    warning (a logging message and its arguments) in place of a failure."""
-    if allow_large_dt and not check.passed:
-        import logging
-        logging.getLogger(__name__).warning(*warning)
-    else:
-        report.add_check(check)
-
-
 def sample_ensemble(cfg: ScenarioConfig):
     """The initial ensemble of a kinetic or Picard run; the seed streams
     are created only for monte_carlo sampling, the one kind that draws.
@@ -149,10 +131,9 @@ def run_kinetic(cfg: ScenarioConfig, out_dir):
                               | {f"lp_norm_p{p}": norms[p][i] for p in (1, 2)})
     if dcfg["enabled"]:
         report.add_check(diag.check_mass(_series(report, "total_mass"), tol=dcfg["mass_tol"]))
-        support = diag.check_support(_series(report, "support_radius"),
-                                     ens0.initial_support_bound, tol=dcfg["support_tol"])
-        _add_or_warn(report, support, cfg["allow_large_dt"],
-                     "support bound exceeded under allow_large_dt: %s", support)
+        report.add_check(diag.check_support(_series(report, "support_radius"),
+                                            ens0.initial_support_bound,
+                                            tol=dcfg["support_tol"]))
         report.add_check(diag.check_density_growth(snaps))
         report.add_check(diag.check_volume_law(snaps))
         for c in diag.check_particle_lp_inequality(_series(report, "t"), norms,
@@ -164,16 +145,15 @@ def run_kinetic(cfg: ScenarioConfig, out_dir):
 
 
 def run_agents(cfg: ScenarioConfig, out_dir):
-    from .agents import integrate_agents
+    from .agents import alignment_field
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "agents"))
     state, _ = sample_agents(cfg, cfg.seed_streams()[0])
-    model, lam, rhs = cfg["model"], cfg["lam"], agent_rhs(cfg)
+    model, lam, r = cfg["model"], cfg["lam"], cfg["radius"]
     t_final, dt, stride = cfg["t_final"], cfg["dt"], cfg["snapshot_stride"]
 
     def step(s, k, t):
-        s = integrate_agents(s, rhs, dt, cfg["integrator"], lam=lam)
-        s.t = t
-        return s
+        ubar, rate = alignment_field(s.positions, s.velocities, lam, r, model)
+        return AgentState(t, s.dim, *exact_step(s.positions, s.velocities, ubar, rate, dt))
 
     snaps, steps = march(state, step, t_final, dt, stride)
     for st in snaps:
@@ -184,10 +164,8 @@ def run_agents(cfg: ScenarioConfig, out_dir):
     dcfg = cfg["diagnostics"]
     if dcfg["enabled"] and model in ("cutoff_cs", "mt") and state.n:
         speeds = [float(np.sqrt((s.velocities ** 2).sum(axis=1)).max()) for s in snaps]
-        check = diag.check_support(speeds, speeds[0], dcfg["support_tol"],
-                                   "agent_speed_max_principle")
-        _add_or_warn(report, check, cfg["allow_large_dt"],
-                     "agent max principle exceeded under allow_large_dt")
+        report.add_check(diag.check_support(speeds, speeds[0], dcfg["support_tol"],
+                                            "agent_speed_max_principle"))
     kio.write_agent_snapshots(os.path.join(out_dir, "agents.csv"), snaps, steps)
     return report
 

@@ -18,7 +18,7 @@ import pytest
 from conftest import VERDICTS
 
 import kinflock
-from kinflock.agents import cutoff_cs_rhs, integrate_agents
+from kinflock.agents import alignment_field
 from kinflock.cli import main
 from kinflock.config import load_config
 from kinflock.diagnostics import (check_density_growth, check_lp_law,
@@ -29,7 +29,7 @@ from kinflock.fixed_point import FieldGrid, apply_F, picard_solve
 from kinflock.kinetic import (InitialDistributionSpec, run_linear,
                               run_self_consistent, sample_initial)
 from kinflock.oracle import PhaseGrid, oracle_lp_norm, quadrature_pushforward, run_oracle
-from kinflock.phase import AgentState, Ensemble, march
+from kinflock.phase import AgentState, Ensemble, exact_step, march
 from kinflock.runner import initial_spec_from_config
 
 
@@ -38,6 +38,13 @@ def _verdict(num, desc, ok, value):
     VERDICTS.append(line)
     print(line, file=sys.__stdout__, flush=True)
     assert ok, line
+
+
+def _agent_step(state, dt, lam, r, model="cutoff_cs"):
+    """The state after one agent step as `kinflock run` takes it."""
+    x, v = state.positions, state.velocities
+    ubar, rate = alignment_field(x, v, lam, r, model)
+    return AgentState(state.t + dt, state.dim, *exact_step(x, v, ubar, rate, dt))
 
 
 def scenario(name):
@@ -217,20 +224,24 @@ def test_criterion_7_exact_frozen_field_step():
     v_exact = E_val + (-0.7 - E_val) * np.exp(-lam)
     x_exact = 0.2 + E_val + (-0.7 - E_val) * (1 - np.exp(-lam)) / lam
     field = lambda t, X: np.full_like(X, E_val)
-    rhs = lambda s: lam * (E_val - s.velocities)  # a = lam*(E - v) for agents
+    # agents: a coupled pair whose velocities sit symmetric about E, so that
+    # its mean velocity, the field of both, is E at every step
+    x0, v0 = np.array([[0.2], [0.3]]), np.array([[-0.7], [2 * E_val + 0.7]])
+    v_pair = E_val + (v0 - E_val) * np.exp(-lam)
+    x_pair = x0 + E_val + (v0 - E_val) * (1 - np.exp(-lam)) / lam
     worst = worst_agent = 0.0
     for dt in (1.0, 0.25, 0.05, 0.001):
         ens = Ensemble(0.0, 1, lam, 1.0, [[0.2]], [[-0.7]], [1.0], [1.0], [1.0],
                        initial_support_bound=1.0)
         ens = run_linear(ens, field, 1.0, dt, snapshot_stride=10 ** 9).snapshots[-1]
         worst = max(worst, abs(ens.v[0, 0] - v_exact), abs(ens.x[0, 0] - x_exact))
-        agent = march(AgentState(0.0, 1, [[0.2]], [[-0.7]]),
-                      lambda s, k, t: integrate_agents(s, rhs, dt, "exponential", lam=lam),
-                      1.0, dt, 10 ** 9)[0][-1]
-        worst_agent = max(worst_agent, abs(agent.velocities[0, 0] - v_exact),
-                          abs(agent.positions[0, 0] - x_exact))
-    _verdict(7, "constant-field trajectory of particles and exponential agents "
-             "matches closed form to 1e-12 for all dt",
+        pair = march(AgentState(0.0, 1, x0, v0),
+                     lambda s, k, t: _agent_step(s, dt, lam, r=10.0),
+                     1.0, dt, 10 ** 9)[0][-1]
+        worst_agent = max(worst_agent, np.abs(pair.velocities - v_pair).max(),
+                          np.abs(pair.positions - x_pair).max())
+    _verdict(7, "constant-field trajectory of particles and of an agent pair "
+             "with mean velocity E matches closed form to 1e-12 for all dt",
              max(worst, worst_agent) <= 1e-12,
              f"particles={worst:.3g} agents={worst_agent:.3g}")
 
@@ -238,9 +249,8 @@ def test_criterion_7_exact_frozen_field_step():
 def test_criterion_8_flocking_decay():
     lam = 1.0
     state = AgentState(0.0, 1, np.array([[0.0], [0.1]]), np.array([[1.0], [-1.0]]))
-    rhs = lambda s: cutoff_cs_rhs(s, lam, r=10.0)
     for _ in range(10):
-        state = integrate_agents(state, rhs, 0.1, "exponential", lam=lam)
+        state = _agent_step(state, 0.1, lam, r=10.0)
     diam_err = abs((state.velocities[0, 0] - state.velocities[1, 0])
                    - 2.0 * np.exp(-lam))
 
@@ -248,11 +258,9 @@ def test_criterion_8_flocking_decay():
     rng, _, _ = cfg.seed_streams()
     from kinflock.runner import sample_agents
     cluster, _ = sample_agents(cfg, rng)
-    rhs_c = lambda s: cutoff_cs_rhs(s, cfg["lam"], cfg["radius"])
     variances = [flocking_metrics(cluster)[0]]
     for _ in range(int(round(cfg["t_final"] / cfg["dt"]))):
-        cluster = integrate_agents(cluster, rhs_c, cfg["dt"], cfg["integrator"],
-                                   lam=cfg["lam"])
+        cluster = _agent_step(cluster, cfg["dt"], cfg["lam"], cfg["radius"], cfg["model"])
         variances.append(flocking_metrics(cluster)[0])
     monotone = all(b <= a + 1e-14 for a, b in zip(variances, variances[1:]))
     ok = diam_err <= 1e-9 and monotone
@@ -331,7 +339,6 @@ def test_criterion_11_meanfield_trend():
     ref = run_self_consistent(sample_initial(make_spec(("tensor_grid", 48, 48)),
                                              lam, r), T, dt, delta=0.0).snapshots[-1]
     probes = np.linspace(-2.2, 2.2, 23)[:, None]
-    rhs = lambda s: cutoff_cs_rhs(s, lam, r)
     sizes = (500, 1000, 2000, 4000)
     dists = {n: [] for n in sizes}
     for seed in range(5):
@@ -342,7 +349,7 @@ def test_criterion_11_meanfield_trend():
         for n in sizes:
             st = AgentState(0.0, 1, full.x[:n], full.v[:n])
             for _ in range(int(round(T / dt))):
-                st = integrate_agents(st, rhs, dt, "exponential", lam=lam)
+                st = _agent_step(st, dt, lam, r)
             dists[n].append(meanfield_distance(st, ref, probes, r))
     medians = [float(np.median(dists[n])) for n in sizes]
     ok = all(b <= a for a, b in zip(medians, medians[1:]))

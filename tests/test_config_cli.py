@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 import os
 import subprocess
@@ -66,7 +65,8 @@ VICSEK_BASIC = {"mode": "agents", "model": "vicsek", "dim": 2, "lam": 1.0, "radi
                 "t_final": 50, "dt": 1.0, "seed": 42, "n_agents": 200, "snapshot_stride": 5,
                 "vicsek": {"speed": 0.03, "noise": 0.1}}
 
-# Configs of removed interactions, each with the one line it now exits 2 with.
+# Configs of removed interactions and integrators, each with the one line
+# it now exits 2 with.
 REMOVED_INPUTS = [
     pytest.param(small_agents("cs", kernel), f"kernel/kind: '{kernel['kind']}' is not one "
                  "of ['indicator']", id=kernel["kind"]) for kernel in REMOVED_KERNELS
@@ -77,6 +77,10 @@ REMOVED_INPUTS = [
                       vicsek=VICSEK_BASIC["vicsek"]),
                  "(root): additional properties are not allowed ('vicsek' was unexpected)",
                  id="vicsek-block"),
+] + [
+    pytest.param(dict(small_agents("cutoff_cs", {"kind": "indicator"}), integrator=name),
+                 f"integrator: '{name}' is not one of ['exponential']", id=name)
+    for name in ("rk4", "explicit_euler")
 ]
 
 # Schema-reachable paths that no shipped scenario runs, with the exit code
@@ -282,8 +286,8 @@ class TestCli:
         assert steps == [] and not out.exists()
 
     def test_validate_stops_where_run_stops_before_its_first_step(self, tmp_path, capsys):
-        # zero-width x cells give zero phase volumes, which the sampled
-        # ensemble refuses: validate samples it too and reports the same line
+        # zero-width x cells would give zero phase volumes: both commands
+        # reject the bound as a configuration error with the same line
         data = minimal_kinetic()
         data["initial"]["x_bounds"] = [[0.0, 0.0]]
         cfg = tmp_path / "cfg.json"
@@ -292,19 +296,10 @@ class TestCli:
         (run_code, run), (validate_code, validate) = [
             (main([*args, "--config", str(cfg)]), capsys.readouterr())
             for args in (["run", "--out", str(out)], ["validate"])]
-        assert run_code != 0 and validate_code == run_code
+        assert run_code == validate_code == 2
         assert validate.out == run.out == "" and validate.err == run.err
-        assert run.err.count("\n") == 1 and not out.exists()
-
-    def test_agent_blowup_exits_3(self, tmp_path, capsys):
-        # lam = 1e300 takes the explicit Euler velocities to inf in the second step
-        data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
-        data.update(integrator="explicit_euler", allow_large_dt=True, lam=1e300)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(data))
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "runtime abort: non-finite state after step at t=0.01\n"
+        assert run.err == ("configuration error: config key initial/x_bounds/0: "
+                           "lo must be less than hi, got [0.0, 0.0]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value,extra", [
@@ -355,7 +350,7 @@ class TestCli:
             data["initial"]["v_centers"] = vc
         validate_config(data)
 
-    @pytest.mark.parametrize("change", [{"amplitude": 0}, {"x_bounds": [[0.0, 0.0], [-0.3, 0.3]]},
+    @pytest.mark.parametrize("change", [{"amplitude": 0}, {"v_centers": [[0.0, 60.0]]},
                                         {"x_centers": [[60.0, 0.0]]}])
     def test_run_rejects_agents_drawn_from_zero_mass(self, tmp_path, capsys, change):
         data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
@@ -385,7 +380,8 @@ class TestCli:
     @pytest.mark.parametrize("data, message", REMOVED_INPUTS)
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_removed_kernels_exit_2(self, tmp_path, capsys, data, message, command):
-        # the smooth kernels and the Vicsek heading model
+        # the smooth kernels, the Vicsek heading model and every agent
+        # integrator but the exact frozen-field step
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
         out = tmp_path / "out"
@@ -403,7 +399,9 @@ class TestCli:
          "initial/v_bounds/1"),
         ("oracle_l2.json", lambda d: d["oracle"].update(x_min=3.0, x_max=-3.0), "oracle/x_max"),
         ("oracle_l2.json", lambda d: d["oracle"].update(x_min=1.0, x_max=1.0), "oracle/x_max"),
-    ], ids=["x_bounds", "v_bounds", "oracle-reversed", "oracle-empty"])
+        ("agents_cluster.json", lambda d: d["initial"].update(v_bounds=[[-1.0, 1.0], [0.5, 0.5]]),
+         "initial/v_bounds/1"),
+    ], ids=["x_bounds", "v_bounds", "oracle-reversed", "oracle-empty", "v_bounds-empty"])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_unordered_ranges_exit_2(self, tmp_path, capsys, scenario, change, key, command):
         # each would pass the schema and only fail once `run` built the state
@@ -744,37 +742,17 @@ def test_repeated_lp_exponents_exit_2(tmp_path, capsys, exps, repeated, command)
                             f"{exps!r} lists the exponent {repeated} more than once\n")
 
 
-def _assertion_names(out):
+@pytest.mark.parametrize("data, check", [
+    (minimal_kinetic(dt=2.5, t_final=5.0), "velocity_support_bound"),
+    (dict(small_agents("cutoff_cs", {"kind": "indicator"}), dt=2.5, t_final=5.0),
+     "agent_speed_max_principle"),
+], ids=["kinetic", "agents"])
+def test_large_dt_run_keeps_its_support_check(tmp_path, data, check):
+    # at lam*dt = 2.5 the exact frozen-field step still keeps every speed
+    # within its initial bound: allow_large_dt lifts the lam*dt rule only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(data, allow_large_dt=True)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "diagnostics.json").read_text())
-    return [c["name"] for c in report["assertions"]]
-
-
-def test_large_dt_kinetic_run_warns_instead_of_failing_the_support_check(
-        tmp_path, caplog, monkeypatch):
-    # the exact step keeps every speed within M0 at any dt, so the check is
-    # made to fail here
-    def failing_check(speeds, m0, tol, name="velocity_support_bound"):
-        return diagnostics.CheckResult(name, max(speeds) + 1.0, m0 + tol, False)
-
-    monkeypatch.setattr(diagnostics, "check_support", failing_check)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(minimal_kinetic(dt=2.0, t_final=4.0, allow_large_dt=True)))
-    out = tmp_path / "out"
-    with caplog.at_level(logging.WARNING, logger="kinflock.runner"):
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert "support bound exceeded under allow_large_dt" in caplog.text
-    assert "velocity_support_bound" not in _assertion_names(out)
-    assert "mass_conservation" in _assertion_names(out)
-
-
-def test_large_dt_agent_run_warns_instead_of_failing_the_max_principle(tmp_path, caplog):
-    # explicit Euler at lam*dt = 2.5 overshoots: v + 2.5*(ubar - v)
-    data = small_agents("cutoff_cs", {"kind": "indicator"})
-    data.update(integrator="explicit_euler", dt=2.5, t_final=5.0, allow_large_dt=True)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
-    out = tmp_path / "out"
-    with caplog.at_level(logging.WARNING, logger="kinflock.runner"):
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert "agent max principle exceeded under allow_large_dt" in caplog.text
-    assert _assertion_names(out) == []
+    assert [c["passed"] for c in report["assertions"] if c["name"] == check] == [True]
