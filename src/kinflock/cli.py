@@ -16,6 +16,7 @@ reports every failure in one line on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -28,9 +29,21 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .config import load_config  # noqa: E402
-from .errors import ConfigError, KinflockError  # noqa: E402
-from .runner import run, sample_ensemble  # noqa: E402
+# The objects numpy and kinflock create at import live until exit, yet the
+# cyclic collector would walk them in about 30 collections while they load and
+# again in the collections of interpreter shutdown.  So it stays off for the
+# imports, which then leave their heap frozen (never walked again), and gets
+# back the state it had: objects the run creates are collected as before.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from .config import load_config
+    from .errors import ConfigError, KinflockError
+    from .runner import run, sample_ensemble
+    gc.freeze()
+finally:
+    if _collecting:
+        gc.enable()
 
 
 def _cmd_run(args):

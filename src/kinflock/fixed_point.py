@@ -115,10 +115,17 @@ def default_field_box(f0: Ensemble, T):
     return lo, hi
 
 
-def apply_F(E: FieldGrid, f0: Ensemble, r, delta):
+def apply_F(E: FieldGrid, f0: Ensemble, r, delta, kept=None):
     """One application of the fixed-point map: solve the linear transport
     problem driven by E, then evaluate j/(delta + rho) at every node.  Each
     step runs from one time node to the next under the earlier node's field.
+
+    Level k of F[E] depends only on E's levels before k: `evaluate` at a
+    node time weights the next level by exactly 0.  A damping-1 Picard
+    iteration passes `kept = [s, ens]`, where E = F[E'] agrees with E' on
+    levels 0..s-2 and ens is the ensemble at level s-1 under E': levels
+    0..s-1 of F[E] are then E's own, and stepping restarts from ens.  The
+    call leaves `kept` at [s + 1, its ensemble at level s].
 
     The output inherits E's grid and satisfies the same sup bound.
     """
@@ -127,14 +134,16 @@ def apply_F(E: FieldGrid, f0: Ensemble, r, delta):
     if E.sup_norm() > E.bound + BOUND_SLACK:
         raise InvalidInputError(
             f"input field violates its sup bound: {E.sup_norm():.17g} > {E.bound:.17g}")
+    s, ens = kept or (0, f0)
     nodes = E.node_points
-    out = np.zeros_like(E.values)
-    ens = f0
-    for k, t_k in enumerate(E.times):
-        out[k] = mean_field(ens, nodes, r, delta).reshape(out[k].shape)
-        if k + 1 < len(E.times):
-            t_next = E.times[k + 1]
+    out = E.values.copy()  # levels from s on are overwritten below
+    for k in range(s, len(E.times)):
+        if k:
+            t_k, t_next = E.times[k - 1], E.times[k]
             ens = f0.stepped(t_next, *_flow(ens, E.evaluate(t_k, ens.x), t_next - t_k))
+        if kept and k == s:
+            kept[:] = [s + 1, ens]
+        out[k] = mean_field(ens, nodes, r, delta).reshape(out[k].shape)
     result = E.copy_with_values(out)
     if result.sup_norm() > E.bound + BOUND_SLACK:
         raise InvariantViolationError(
@@ -168,8 +177,9 @@ def picard_solve(f0: Ensemble, r, delta, T, n_time_nodes, n_space_nodes,
     axes = tuple(np.linspace(lo[k], hi[k], n_space_nodes) for k in range(f0.dim))
     E = FieldGrid.zero(times, axes, m0)
     result = PicardResult(E)
+    kept = [0, f0] if damping == 1 else None  # damping 1 skips settled levels
     for it in range(1, max_iter + 1):
-        F = apply_F(E, f0, r, delta)
+        F = apply_F(E, f0, r, delta, kept)
         if F.sup_norm() > m0 + BOUND_SLACK:
             raise InvariantViolationError(
                 f"Picard iterate {it} violates the sup bound")

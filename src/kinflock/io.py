@@ -14,8 +14,10 @@ formatted by Python one at a time."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 
 import numpy as np
@@ -41,11 +43,15 @@ def fmt(x):
 def _pow10():
     """Read-only arrays hi, lo, b, and hi split in halves, with
     `10**q = (hi + lo) * 2**b` to a relative 2**-104 for q = _Q0.._Q1
-    (row q - _Q0), hi in [1, 2) and 0 <= lo < 2**-52.  Built on first use."""
+    (row q - _Q0), hi in [1, 2) and 0 <= lo < 2**-52.  Built on first use
+    from running products, without a power or a long division per row."""
+    # 10**q rounded down is m * 2**-t: for q < 0, m = 2**t // 10**-q, which
+    # keeps 128 bits down to _Q0 and is exact by floor(floor(x)/10) = floor(x/10)
+    t = 128 - 4 * _Q0
+    down = itertools.accumulate([1 << t] + [10] * -_Q0, operator.floordiv)
+    up = itertools.accumulate([1] + [10] * _Q1, operator.mul)
     hi, lo, b = [], [], []
-    for q in range(_Q0, _Q1 + 1):
-        t = max(0, 4 * -q + 128)  # m * 2**-t is 10**q rounded down
-        m = 10 ** q << t if q >= 0 else (1 << t) // 10 ** -q
+    for m, t in [(m, t) for m in list(down)[:0:-1]] + [(m, 0) for m in up]:
         shift = m.bit_length() - 128  # keep 128 bits: 53 for hi, 75 for lo
         m, t = (m >> shift if shift > 0 else m << -shift), t - shift
         hi.append(math.ldexp(m >> 75, -52))

@@ -645,6 +645,18 @@ def test_import_loads_no_solver_module_random_or_logging():
     assert _lazy_modules_loaded("import kinflock.cli") == []
 
 
+@pytest.mark.parametrize("host, enabled", [("", True), ("import gc; gc.disable()\n", False)],
+                         ids=["collecting-host", "disabled-host"])
+def test_import_freezes_its_heap_and_keeps_the_collector_state(host, enabled):
+    # no collection walks the import-time heap again, and the collector is
+    # left as the host had it
+    src = str(Path(cli.__file__).parents[1])
+    code = host + "import gc, kinflock.cli\nprint(gc.isenabled(), gc.get_freeze_count() > 0)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == [str(enabled), "True"]
+
+
 def _monte_carlo_kinetic():
     data = minimal_kinetic()
     data["initial"]["sampling"] = {"kind": "monte_carlo", "n": 64}

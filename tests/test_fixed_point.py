@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from kinflock import kinetic
 from kinflock.errors import InvalidInputError
 from kinflock.fixed_point import (FieldGrid, apply_F, default_field_box,
                                   lipschitz_modulus, picard_solve)
@@ -301,6 +302,34 @@ class TestPicard:
         b = picard_solve(ens, damping=0.5, **kw)
         assert a.converged and b.converged
         assert np.allclose(a.field.values, b.field.values, atol=1e-8)
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    def test_only_damping_one_skips_settled_levels_bit_for_bit(self, monkeypatch, damping):
+        # level k of F[E] depends only on E's levels before k, so with
+        # damping 1 iteration j computes levels j-1 onward from a kept
+        # ensemble; a damped iteration recomputes every level
+        ens, n = small_cloud(seed=8), 9
+        calls = []
+
+        def counted(*args, real=kinetic.neighborhood_sums):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(kinetic, "neighborhood_sums", counted)
+        res = picard_solve(ens, r=0.5, delta=0.1, T=0.4, n_time_nodes=n,
+                           n_space_nodes=17, tol=1e-300, max_iter=n + 2, damping=damping)
+        if damping == 1.0:
+            assert res.converged and res.residuals[-1] == 0.0
+            assert len(calls) == sum(n - i for i in range(res.iterations))
+        else:
+            assert len(calls) == n * res.iterations
+        E, residuals = FieldGrid.zero(res.field.times, res.field.axes, 1.0), []
+        for _ in range(res.iterations):
+            F = apply_F(E, ens, 0.5, 0.1)
+            residuals.append(float(np.sqrt(((F.values - E.values) ** 2).sum(axis=-1)).max()))
+            E = E.copy_with_values((1.0 - damping) * E.values + damping * F.values)
+        assert residuals == res.residuals
+        assert E.values.tobytes() == res.field.values.tobytes()
 
     def test_invalid_arguments(self):
         ens = small_cloud()

@@ -7,6 +7,7 @@ also produce byte-identical files to the reference writers below (one `fmt`
 call per cell, one `fh.write` per row), at the default block size and at a
 block size of 7 rows, so that block boundaries fall inside a snapshot."""
 
+import math
 import os
 import subprocess
 import sys
@@ -298,6 +299,20 @@ def test_few_values_fall_back():
     x = np.linspace(-3.0, 3.0, 256)
     grid = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 0.5) / (np.pi * 0.5)
     assert kio._digits(grid.reshape(-1))[2].all()
+
+
+def test_pow10_table_matches_the_per_row_formula():
+    hi, lo, b = [], [], []
+    for q in range(kio._Q0, kio._Q1 + 1):
+        t = max(0, 4 * -q + 128)  # m * 2**-t is 10**q rounded down
+        m = 10 ** q << t if q >= 0 else (1 << t) // 10 ** -q
+        shift = m.bit_length() - 128
+        m, t = (m >> shift if shift > 0 else m << -shift), t - shift
+        hi.append(math.ldexp(m >> 75, -52))
+        lo.append(math.ldexp(m & ((1 << 75) - 1), -127))
+        b.append(127 - t)
+    got = kio._pow10()
+    assert [a.tolist() for a in got[:3]] == [hi, lo, b]
 
 
 def test_import_builds_no_table():
