@@ -3,8 +3,8 @@
 Subcommands:
   run           execute a scenario config; exit 0 iff all assertions pass
   validate      check a config file against the schema and semantic rules,
-                and a kinetic or picard config's initial ensemble against
-                the horizon rule, as `run` does before its first step
+                and its initial state as `run` does before its first step:
+                the horizon rule, or that agents can be drawn from f0
   diff-reports  compare two diagnostics.json files
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
@@ -39,7 +39,7 @@ gc.disable()
 try:
     from .config import load_config
     from .errors import ConfigError, KinflockError
-    from .runner import run, sample_ensemble
+    from .runner import agents_spec, run, sample_ensemble
     gc.freeze()
 finally:
     if _collecting:
@@ -81,6 +81,8 @@ def _cmd_validate(args):
         cfg = load_config(args.config)
         if cfg["mode"] in ("kinetic", "picard"):
             sample_ensemble(cfg)
+        elif cfg["mode"] == "agents":
+            agents_spec(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

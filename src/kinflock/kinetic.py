@@ -14,6 +14,7 @@ step's time (`phase.Ensemble`), so particle masses stay exactly constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -99,21 +100,53 @@ class InitialDistributionSpec:
         elif self.kind in ("product_gaussian_truncated", "two_bump"):
             vals = np.zeros(inside.shape)
             for xc, vc in zip(self.x_centers, self.v_centers):
-                vals += self.amplitude * np.exp(
-                    -((x - xc) ** 2).sum(axis=-1) / (2 * self.x_sigma ** 2)
-                    - ((v - vc) ** 2).sum(axis=-1) / (2 * self.v_sigma ** 2)
-                )
+                vals += self.amplitude * self._bump(x, v, xc, vc)
         else:
             raise InvalidInputError(f"unknown initial kind {self.kind!r}")
         return np.where(inside, vals, 0.0)
+
+    def _bump(self, x, v, xc, vc):
+        """exp of the Gaussian exponent about (xc, vc) at points x, v (..., d)."""
+        return np.exp(-((x - xc) ** 2).sum(axis=-1) / (2 * self.x_sigma ** 2)
+                      - ((v - vc) ** 2).sum(axis=-1) / (2 * self.v_sigma ** 2))
+
+    @property
+    def total_mass(self):
+        """The integral of f0 over its boxes in closed form: the amplitude
+        times, per axis, the box width or, for each bump, sigma*sqrt(pi/2)
+        times a difference of erf, or of erfc where both edges lie on one
+        side of the centre, so that far tails keep their digits."""
+        def axis(lo, hi, c, s):
+            a, b = (lo - c) / (s * math.sqrt(2)), (hi - c) / (s * math.sqrt(2))
+            diff = (math.erfc(a) - math.erfc(b) if a >= 0 else
+                    math.erfc(-b) - math.erfc(-a) if b <= 0 else math.erf(b) - math.erf(a))
+            return s * math.sqrt(math.pi / 2) * diff
+        lo, hi = np.concatenate([self.x_bounds, self.v_bounds]).T.tolist()
+        if self.kind == "box_indicator":
+            return math.prod((b - a for a, b in zip(lo, hi)), start=float(self.amplitude))
+        sigmas = [self.x_sigma] * self.dim + [self.v_sigma] * self.dim
+        return sum(math.prod(map(axis, lo, hi, c, sigmas), start=float(self.amplitude))
+                   for c in np.hstack([self.x_centers, self.v_centers]).tolist())
+
+    @property
+    def peak(self):
+        """An upper bound of f0 on its boxes: the amplitude times the sum
+        over bumps of each `_bump` at its centre clamped into the boxes, as
+        `density` computes it.  The sum is correctly rounded, so n bumps
+        centred inside their boxes give exactly n*amplitude."""
+        if self.kind == "box_indicator":
+            return float(self.amplitude)
+        return self.amplitude * math.fsum(self._bump(
+            self.x_centers.clip(*self.x_bounds.T), self.v_centers.clip(*self.v_bounds.T),
+            self.x_centers, self.v_centers))
 
 
 def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
     """Discretize f0 into an Ensemble.
 
     tensor_grid places a particle at every phase-cell center with the cell
-    volume as its phase volume; monte_carlo draws from the normalized f0 by
-    rejection sampling and assigns equal masses.
+    volume as its phase volume; monte_carlo draws N by `rejection_sample`,
+    each of mass total_mass/N, or none if f0 has no mass or peak.
     """
     d = spec.dim
     mode = spec.sampling[0]
@@ -131,8 +164,8 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
     elif mode == "monte_carlo":
         _, n_particles, seed = spec.sampling
         rng = np.random.default_rng(seed) if rng is None else rng
-        total = _total_mass(spec)
-        if total == 0.0 or n_particles == 0:
+        total = spec.total_mass
+        if n_particles == 0 or not (total > 0 and spec.peak > 0):
             xx = np.zeros((0, d)); vv = np.zeros((0, d))
             dens = np.zeros(0); vol = np.ones(0); mass = np.zeros(0)
         else:
@@ -151,10 +184,10 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
 
 def rejection_sample(spec: InitialDistributionSpec, n, rng):
     """n phase points (x, v), each (n, d), drawn from the normalized f0 by
-    rejection from its boxes; f0 must not be zero everywhere when n > 0."""
+    rejection from its boxes under the envelope `spec.peak`.  When n > 0,
+    f0 must have `total_mass` > 0 and `peak` > 0, or no draw is accepted."""
     d = spec.dim
-    # f0 peaks at the amplitude, or below n times it where n bumps overlap
-    sup = (1 if spec.kind == "box_indicator" else len(spec.x_centers)) * spec.amplitude
+    sup = spec.peak
     xs, vs = [np.zeros((0, d))], [np.zeros((0, d))]
     need = n
     while need > 0:
@@ -170,58 +203,16 @@ def rejection_sample(spec: InitialDistributionSpec, n, rng):
     return np.concatenate(xs), np.concatenate(vs)
 
 
-MASS_PROOF_CELLS = 64  # x-cells per slice of the mesh in `has_mass`
-
-
-def has_mass(spec: InitialDistributionSpec, n=None):
-    """Whether `_total_mass(spec, n)` is nonzero, mostly without evaluating
-    its whole mesh.  Every mesh value is >= 0 and rounding is monotone, so
-    the quadrature's sum is at least any one value v, and v*cellvol > 0
-    proves the mass positive.  Slices of x-cells are tried in order; if
-    none holds such a value, the full quadrature decides."""
-    X, V, cellvol = _mesh(spec, n)
-    for lo in range(0, len(X), MASS_PROOF_CELLS):
-        vals = spec.density(X[lo:lo + MASS_PROOF_CELLS, None, :], V[None, :, :])
-        if vals.max() * cellvol > 0:
-            return True
-    return _total_mass(spec, n) != 0.0
-
-
-def _cell_centres(bounds, n, vol=1.0):
+def _cell_centres(bounds, n):
     """Centres of the n-per-axis cells of the box `bounds` (d, 2), first
-    axis slowest, and `vol` times the cell widths, multiplied in axis order."""
-    axes = []
+    axis slowest, and the product of the cell widths, in axis order."""
+    axes, vol = [], 1.0
     for lo, hi in bounds:
         edges = np.linspace(lo, hi, n + 1)
         axes.append(0.5 * (edges[:-1] + edges[1:]))
         vol *= (hi - lo) / n
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1), vol
-
-
-def _total_mass(spec, n=None):
-    """Midpoint quadrature of f0 over its bounding boxes."""
-    vals, cellvol = _grid_eval(spec, n)
-    return float(vals.sum() * cellvol)
-
-
-def _mesh(spec, n=None):
-    """Centres of the n^d x-cells and of the n^d v-cells of the n^{2d}-cell
-    phase mesh, and its cell volume."""
-    if n is None:
-        # keep the phase-space mesh near 10^6 points regardless of dimension
-        n = {1: 512, 2: 32, 3: 10}[spec.dim]
-    X, cellvol = _cell_centres(spec.x_bounds, n)
-    V, cellvol = _cell_centres(spec.v_bounds, n, cellvol)
-    return X, V, cellvol
-
-
-def _grid_eval(spec, n=None):
-    """f0 at the centres of the n^{2d}-cell phase mesh, x-cells major, and
-    the cell volume.  The mesh is the outer product of its n^d x-cells and
-    n^d v-cells, so only the final values take n^{2d} memory."""
-    X, V, cellvol = _mesh(spec, n)
-    return spec.density(X[:, None, :], V[None, :, :]).reshape(-1), cellvol
 
 
 def moments_at_points(ensemble: Ensemble, centers, r):

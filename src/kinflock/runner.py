@@ -24,7 +24,7 @@ from . import diagnostics as diag
 from . import io as kio
 from .config import ScenarioConfig
 from .errors import ConfigError
-from .kinetic import (InitialDistributionSpec, has_mass, rejection_sample, run_linear,
+from .kinetic import (InitialDistributionSpec, rejection_sample, run_linear,
                       run_self_consistent, sample_initial)
 from .phase import AgentState, exact_step, march
 
@@ -62,15 +62,21 @@ def oracle_field_from_config(cfg: ScenarioConfig):
     return lambda t, x: amp * np.tanh(np.asarray(x, float) / width)
 
 
-def sample_agents(cfg: ScenarioConfig, rng):
-    """Draw agents from the initial phase-space density; they carry no
-    masses, so the mass quadrature only has to be nonzero."""
+def agents_spec(cfg: ScenarioConfig) -> InitialDistributionSpec:
+    """The f0 of an agents run.  Agents carry no masses, but without mass or
+    a nonzero peak no draw is accepted: a config error found without drawing."""
     spec = initial_spec_from_config(cfg)
     n = cfg["n_agents"]
-    if n > 0 and not has_mass(spec):
+    if n > 0 and not (spec.total_mass > 0 and spec.peak > 0):
         raise ConfigError(f"the initial distribution has zero mass, so none of "
                           f"the {n} agents can be drawn")
-    x, v = rejection_sample(spec, n, rng)
+    return spec
+
+
+def sample_agents(cfg: ScenarioConfig, rng):
+    """Draw agents from the initial phase-space density."""
+    spec = agents_spec(cfg)
+    x, v = rejection_sample(spec, cfg["n_agents"], rng)
     return AgentState(0.0, cfg["dim"], x, v), spec
 
 

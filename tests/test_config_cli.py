@@ -350,17 +350,45 @@ class TestCli:
             data["initial"]["v_centers"] = vc
         validate_config(data)
 
-    @pytest.mark.parametrize("change", [{"amplitude": 0}, {"v_centers": [[0.0, 60.0]]},
-                                        {"x_centers": [[60.0, 0.0]]}])
-    def test_run_rejects_agents_drawn_from_zero_mass(self, tmp_path, capsys, change):
+    @pytest.mark.parametrize("change", [
+        {"amplitude": 0}, {"v_centers": [[0.0, 60.0]]}, {"x_centers": [[60.0, 0.0]]},
+        # f0 has a mass of 4e-45, but exp(-784) underflows, so every
+        # computed value is 0 and no draw could be accepted
+        {"amplitude": 1e300, "x_bounds": [[-1.0, 1.0], [-1.0, 1.0]], "x_sigma": 0.25,
+         "x_centers": [[8.0, 8.0]]}])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_run_rejects_agents_drawn_from_zero_mass(self, tmp_path, capsys, command, change):
         data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
         data["initial"].update(change)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and "100 agents" in err
-        assert err.count("\n") == 1
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: the initial distribution has zero "
+                                "mass, so none of the 100 agents can be drawn\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_run_draws_agents_from_a_bump_centred_outside_its_box(self, tmp_path):
+        # the x centre is 12 x_sigma past the box: an envelope of the
+        # amplitude would accept about 1e-32 of the draws, and never finish
+        data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
+        data.update(dim=1, n_agents=20)
+        data["initial"].update(x_bounds=[[-1.0, 1.0]], v_bounds=[[-1.0, 1.0]],
+                               x_sigma=0.25, x_centers=[[4.0]], sampling={"kind": "monte_carlo"})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "kinflock.cli", "run", "--config", str(cfg),
+                               "--out", str(tmp_path / "out")], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].startswith("[PASS] agent_speed_max_principle")
+        rows = np.loadtxt(tmp_path / "out" / "agents.csv", delimiter=",", skiprows=1)
+        x0 = rows[rows[:, 0] == 0, 3]
+        # f0 decays like exp(-(4 - x)**2 / 0.125), so draws crowd the edge x = 1
+        assert len(x0) == 20 and (x0 > 0.5).all() and (x0 <= 1.0).all()
 
     @pytest.mark.parametrize("scenario, change", [
         ("agents_cluster.json", lambda d: d["initial"].update(amplitude=0)),

@@ -1,5 +1,8 @@
 import math
+import signal
 import tracemalloc
+from contextlib import contextmanager
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,9 +10,9 @@ import pytest
 
 from kinflock import diagnostics as diag
 from kinflock.errors import InvalidInputError, InvariantViolationError
-from kinflock.kinetic import (InitialDistributionSpec, has_mass, mean_field,
-                              moments_at_points, run_linear, run_self_consistent,
-                              sample_initial, _grid_eval, _total_mass)
+from kinflock.kinetic import (InitialDistributionSpec, mean_field, moments_at_points,
+                              run_linear, run_self_consistent, sample_initial,
+                              _cell_centres)
 from kinflock.phase import Ensemble, exact_step, march
 
 
@@ -27,6 +30,21 @@ def two_particle_ensemble(lam=1.0, r=3.0):
         x=[[0.0], [0.0]], v=[[1.0], [-1.0]],
         mass=[0.5, 0.5], density_value=[1.0, 1.0], phase_volume=[0.5, 0.5],
         initial_support_bound=1.0)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test, rather than stall the suite, if the block runs longer
+    than `seconds`."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSampling:
@@ -52,21 +70,14 @@ class TestSampling:
             sampling=("monte_carlo", 10_000, 7))
         ens = sample_initial(spec, lam=1.0, radius=0.5)
         assert ens.n == 10_000
-        assert ens.total_mass == pytest.approx(_total_mass(spec), rel=1e-12)
+        assert ens.total_mass == pytest.approx(spec.total_mass, rel=1e-12)
         # analytic mean velocity is 0 by the symmetry of the bumps; the
         # velocity second moment comes from independent quadrature
-        from kinflock.kinetic import _grid_eval
-        vals, cellvol = _grid_eval(spec, 400)
-        # axes order: x then v for d=1
-        spec2 = spec
-        axes_v = np.linspace(*spec2.v_bounds[0], 401)
-        total = vals.sum() * cellvol
-        grid_pts = np.stack(np.meshgrid(
-            np.linspace(*spec2.x_bounds[0], 400, endpoint=False) + np.diff(spec2.x_bounds[0]) / 800,
-            np.linspace(*spec2.v_bounds[0], 400, endpoint=False) + np.diff(spec2.v_bounds[0]) / 800,
-            indexing="ij"), axis=-1).reshape(-1, 2)
-        dens = spec2.density(grid_pts[:, :1], grid_pts[:, 1:])
-        var_v = float((dens * grid_pts[:, 1] ** 2).sum() / dens.sum())
+        vals, _ = full_mesh_eval(spec, 400)
+        edges = np.linspace(*spec.v_bounds[0], 401)
+        vc = 0.5 * (edges[:-1] + edges[1:])
+        dens = vals.reshape(400, 400)  # x-cells major, so v along axis 1
+        var_v = float((dens * vc ** 2).sum() / dens.sum())
         sample_mean = (ens.mass * ens.v[:, 0]).sum() / ens.total_mass
         se = np.sqrt(var_v / ens.n)
         assert abs(sample_mean) <= 3 * se
@@ -85,6 +96,22 @@ class TestSampling:
         # = 0.0625; the standard error of each sample variance is 4e-4
         assert ens.x.var() == pytest.approx(0.0625, abs=1.6e-3)
         assert ens.v.var() == pytest.approx(0.0625, abs=1.6e-3)
+
+    def test_monte_carlo_draws_a_bump_centred_outside_its_box(self):
+        # the envelope is the bump's largest value on the boxes, at x = 1
+        spec = replace(FAR_TAIL, sampling=("monte_carlo", 200, 1))
+        with time_limit(30):
+            ens = sample_initial(spec, lam=1.0, radius=0.5)
+        assert ens.n == 200 and (ens.mass == spec.total_mass / 200).all()
+        assert (ens.x > 0.5).all()
+
+    def test_monte_carlo_of_an_f0_without_a_computed_value_is_empty(self):
+        # positive mass, but every value of f0 underflows to 0: no draw
+        # could be accepted
+        spec = replace(PEAK_UNDERFLOWS, sampling=("monte_carlo", 50, 1))
+        assert spec.total_mass > 0 and spec.peak == 0.0
+        with time_limit(30):
+            assert sample_initial(spec, lam=1.0, radius=0.5).n == 0
 
     def test_support_bound_from_bounds(self):
         spec = unit_square_spec()
@@ -140,12 +167,16 @@ class TestInitialMesh:
     @pytest.mark.parametrize("d, n", [(d, n) for d in (1, 2, 3) for n in (1, 7, 13)]
                              + [(1, None), (2, None)])
     def test_outer_product_mesh_matches_full_mesh(self, kind, d, n):
+        # the x-cells and v-cells of `_cell_centres`, which tensor_grid
+        # samples, evaluated as an outer product; n=None is the spec's
+        # default tensor_grid of 16 cells per axis
         spec = mesh_spec(kind, d)
-        vals, cellvol = _grid_eval(spec, n)
-        ref, ref_cellvol = full_mesh_eval(spec, {1: 512, 2: 32}[d] if n is None else n)
+        n = spec.sampling[1] if n is None else n
+        (X, dx), (V, dv) = _cell_centres(spec.x_bounds, n), _cell_centres(spec.v_bounds, n)
+        vals = spec.density(X[:, None, :], V[None, :, :]).reshape(-1)
+        ref, ref_cellvol = full_mesh_eval(spec, n)
         assert same_bits(vals, ref)
-        assert cellvol == ref_cellvol
-        assert _total_mass(spec, n) == float(ref.sum() * ref_cellvol)
+        assert dx * dv == pytest.approx(ref_cellvol, rel=1e-15)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -164,15 +195,91 @@ class TestInitialMesh:
     @pytest.mark.parametrize("kind, d", [("product_gaussian_truncated", 2), ("two_bump", 2),
                                          ("product_gaussian_truncated", 3), ("two_bump", 3)])
     def test_total_mass_memory_stays_small(self, kind, d):
-        # the full (10^6, 2d) point mesh peaked at 97-145 MB
+        # the closed forms evaluate f0 on no mesh
         spec = mesh_spec(kind, d)
         tracemalloc.start()
         try:
-            _total_mass(spec)
+            spec.total_mass, spec.peak
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 64e3
+
+
+# the far tail of one axis: a centre 4 outside a box of +-1 at sigma 0.25,
+# where a plain erf difference gives 0
+FAR_TAIL = InitialDistributionSpec(kind="product_gaussian_truncated", dim=1,
+                                   x_bounds=[[-1.0, 1.0]], v_bounds=[[-1.0, 1.0]],
+                                   x_centers=[[4.0]], v_centers=[[0.0]])
+# the mass is 4e-45, but exp(-784) underflows, so every computed value is 0
+PEAK_UNDERFLOWS = InitialDistributionSpec(
+    kind="product_gaussian_truncated", dim=2, amplitude=1e300, x_bounds=[[-1, 1], [-1, 1]],
+    v_bounds=[[-1, 1], [-1, 1]], x_centers=[[8.0, 8.0]], v_sigma=0.5)
+CLOSED_FORM_SPECS = [mesh_spec(kind, d) for kind in KINDS for d in (1, 2, 3)] + [FAR_TAIL]
+CLOSED_FORM_IDS = [f"{kind}-{d}" for kind in KINDS for d in (1, 2, 3)] + ["far-tail"]
+
+
+def midpoint_mass(spec, cells=200_000):
+    """f0's integral over its boxes as a sum over bumps of products of
+    per-axis midpoint rules, each summed by math.fsum."""
+    boxes = np.concatenate([spec.x_bounds, spec.v_bounds])
+    widths = boxes[:, 1] - boxes[:, 0]
+    if spec.kind == "box_indicator":
+        return spec.amplitude * math.prod(widths)
+    sigmas = [spec.x_sigma] * spec.dim + [spec.v_sigma] * spec.dim
+    total = 0.0
+    for centre in np.hstack([spec.x_centers, spec.v_centers]):
+        mass = spec.amplitude
+        for (lo, hi), c, s in zip(boxes, centre, sigmas):
+            edges = np.linspace(lo, hi, cells + 1)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            mass *= math.fsum(np.exp(-(mid - c) ** 2 / (2 * s * s))) * (hi - lo) / cells
+        total += mass
+    return total
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=CLOSED_FORM_IDS)
+    def test_mass_matches_fine_midpoint_rule(self, spec):
+        assert spec.total_mass > 0
+        assert spec.total_mass == pytest.approx(midpoint_mass(spec), rel=1e-7)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_full_mesh_sums_converge_to_the_mass(self, kind):
+        # the midpoint rule on the full 1D phase mesh converges to it at
+        # second order: 4 times closer at twice the cells
+        spec = mesh_spec(kind, 1)
+        errors = []
+        for n in (512, 1024):
+            vals, cellvol = full_mesh_eval(spec, n)
+            errors.append(abs(math.fsum(vals) * cellvol - spec.total_mass) / spec.total_mass)
+        assert errors[0] < 2e-6
+        if kind != "box_indicator":  # exact at every n
+            assert errors[1] == pytest.approx(errors[0] / 4, rel=0.05)
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=CLOSED_FORM_IDS)
+    def test_peak_bounds_density(self, spec):
+        rng = np.random.default_rng(spec.dim)
+        x = rng.uniform(spec.x_bounds[:, 0], spec.x_bounds[:, 1], (2000, spec.dim))
+        v = rng.uniform(spec.v_bounds[:, 0], spec.v_bounds[:, 1], (2000, spec.dim))
+        assert spec.density(x, v).max() <= spec.peak
+        if spec.kind != "box_indicator":
+            tops = spec.density(spec.x_centers.clip(*spec.x_bounds.T),
+                                spec.v_centers.clip(*spec.v_bounds.T))
+            assert 0 < tops.max() <= spec.peak
+
+    @pytest.mark.parametrize("amplitude", [0.1, 1.3, 7.0])
+    @pytest.mark.parametrize("n_bumps", range(1, 9))
+    def test_peak_is_n_amplitude_with_every_centre_inside(self, n_bumps, amplitude):
+        # the envelope rejection sampling used before peak, so draws from
+        # such an f0 do not change
+        rng = np.random.default_rng(n_bumps)
+        spec = InitialDistributionSpec(
+            kind="two_bump", dim=2, amplitude=amplitude,
+            x_bounds=[[-1.0, 2.0], [0.0, 1.5]], v_bounds=[[-1.0, 1.0], [-0.7, 0.3]],
+            x_centers=rng.uniform([-1.0, 0.0], [2.0, 1.5], (n_bumps, 2)),
+            v_centers=rng.uniform([-1.0, -0.7], [1.0, 0.3], (n_bumps, 2)))
+        assert spec.peak == n_bumps * amplitude
 
 
 def box_spec(amplitude, x_bounds=((0.0, 100.0),)):
@@ -193,14 +300,14 @@ class TestHasMass:
                                  v_centers=[[0.0, 0.0]]), False),
         # every value * cellvol underflows, but their sum does not
         (box_spec(5e-324), True),
+        (PEAK_UNDERFLOWS, False),
     ], ids=["two_bump-1d", "gaussian-2d", "box-3d", "amplitude-0", "empty-box",
-            "underflow", "subnormal"])
+            "underflow", "subnormal", "peak-underflows"])
     def test_decides_as_the_quadrature(self, spec, mass):
-        assert has_mass(spec) is mass
-        assert (_total_mass(spec) != 0.0) is mass
-        vals, cellvol = _grid_eval(spec)
-        if spec.amplitude == 5e-324:  # only the full sum can tell
-            assert vals.max() * cellvol == 0.0
+        # the decisions of the midpoint quadrature that the closed forms
+        # replaced; where f0 has mass but every computed value is 0, as in
+        # the last case, no draw can be accepted either
+        assert (spec.total_mass > 0 and spec.peak > 0) is mass
 
 
 class TestEnsembleSteps:
