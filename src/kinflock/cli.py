@@ -4,7 +4,7 @@ Subcommands:
   run           execute a scenario config; exit 0 iff all assertions pass
   validate      check a config file against the schema and semantic rules,
                 and its initial state as `run` does before its first step:
-                the horizon rule, or that agents can be drawn from f0
+                the horizon rule, or that its agents or particles can be drawn
   diff-reports  compare two diagnostics.json files
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
@@ -39,7 +39,7 @@ gc.disable()
 try:
     from .config import load_config
     from .errors import ConfigError, KinflockError
-    from .runner import agents_spec, run, sample_ensemble
+    from .runner import drawable_spec, run, sample_ensemble
     gc.freeze()
 finally:
     if _collecting:
@@ -82,7 +82,7 @@ def _cmd_validate(args):
         if cfg["mode"] in ("kinetic", "picard"):
             sample_ensemble(cfg)
         elif cfg["mode"] == "agents":
-            agents_spec(cfg)
+            drawable_spec(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

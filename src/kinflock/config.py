@@ -195,6 +195,10 @@ def validate_config(data: dict) -> ScenarioConfig:
                 if not lo < hi:
                     raise ConfigError(f"config key initial/{key}/{i}: lo must be less "
                                       f"than hi, got {[lo, hi]!r}")
+        for key in ("x_sigma", "v_sigma"):  # a Gaussian f0 squares them
+            if ib["kind"] != "box_indicator" and not ib[key] < 2.0 ** 512:
+                raise ConfigError(f"config key initial/{key}: {ib[key]!r} is too large, "
+                                  "its square would pass the largest double")
         _check_centres(ib, merged["dim"])
     exps = merged["diagnostics"]["lp_exponents"]
     repeated = [p for i, p in enumerate(exps) if p in exps[:i]]

@@ -266,15 +266,9 @@ def meanfield_distance(agents: AgentState, kinetic: Ensemble, probe_points, r):
     moment fields of the empirical agent measure and the kinetic ensemble."""
     from .kinetic import moments_at_points
     probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    n = agents.n
-    agent_ens = Ensemble(
-        t=agents.t, dim=agents.dim, lam=kinetic.lam, radius=r,
-        x=agents.positions, v=agents.velocities,
-        mass=np.full(n, 1.0 / n) if n else np.zeros(0),
-        density_value=np.ones(n), phase_volume=np.full(n, 1.0 / n) if n else np.ones(0),
-    )
-    rho_a, j_a = moments_at_points(agent_ens, probe_points, r)
-    rho_k, j_k = moments_at_points(kinetic, probe_points, r)
+    rho_a, j_a = moments_at_points(agents.positions, agents.velocities,
+                                   np.full(agents.n, 1.0 / max(agents.n, 1)), probe_points, r)
+    rho_k, j_k = moments_at_points(kinetic.x, kinetic.v, kinetic.mass, probe_points, r)
     mk = kinetic.total_mass
     if mk > 0:
         rho_k = rho_k / mk

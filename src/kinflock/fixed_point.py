@@ -143,7 +143,7 @@ def apply_F(E: FieldGrid, f0: Ensemble, r, delta, kept=None):
             ens = f0.stepped(t_next, *_flow(ens, E.evaluate(t_k, ens.x), t_next - t_k))
         if kept and k == s:
             kept[:] = [s + 1, ens]
-        out[k] = mean_field(ens, nodes, r, delta).reshape(out[k].shape)
+        out[k] = mean_field(ens.x, ens.v, ens.mass, nodes, r, delta).reshape(out[k].shape)
     result = E.copy_with_values(out)
     if result.sup_norm() > E.bound + BOUND_SLACK:
         raise InvariantViolationError(

@@ -215,23 +215,23 @@ def _cell_centres(bounds, n):
     return np.stack([g.ravel() for g in mesh], axis=1), vol
 
 
-def moments_at_points(ensemble: Ensemble, centers, r):
-    """(rho, j) at many probe points: neighbourhood sums of the weights
-    (m_j, m_j v_j) over the strict radius-r balls."""
-    weights = np.empty((ensemble.n, 1 + ensemble.dim))
-    weights[:, 0] = ensemble.mass
-    np.multiply(ensemble.mass[:, None], ensemble.v, out=weights[:, 1:])
-    sums = neighborhood_sums(ensemble.x, centers, r, weights)
+def moments_at_points(x, v, mass, centers, r):
+    """(rho, j) at the centres: neighbourhood sums over the strict radius-r
+    balls of the weights (m_j, m_j v_j) of particles at x, velocities v."""
+    weights = np.empty((len(x), 1 + v.shape[1]))
+    weights[:, 0] = mass
+    np.multiply(mass[:, None], v, out=weights[:, 1:])
+    sums = neighborhood_sums(x, centers, r, weights)
     return sums[:, 0], sums[:, 1:]
 
 
-def mean_field(ensemble: Ensemble, centers, r, delta=0.0):
+def mean_field(x, v, mass, centers, r, delta=0.0):
     """The mean velocity field j/(delta + rho) at each centre, (m, d), from
-    the moments over the strict radius-r balls.  delta = 0 gives j/rho
-    where rho > 0 and 0 on empty neighbourhoods."""
+    the moments over the strict radius-r balls; delta = 0 gives j/rho where
+    rho > 0, else 0.  On unit masses at the agents: their ball mean velocity."""
     if delta < 0:
         raise InvalidInputError("delta must be >= 0")
-    rho, j = moments_at_points(ensemble, centers, r)
+    rho, j = moments_at_points(x, v, mass, centers, r)
     rho = rho[:, None]
     if delta > 0:
         return j / (delta + rho)
@@ -282,7 +282,7 @@ def run_self_consistent(ensemble0: Ensemble, T, dt, delta=0.0,
     r = ensemble0.radius
 
     def step(ens, k, t):
-        E = mean_field(ens, ens.x, r, delta)
+        E = mean_field(ens.x, ens.v, ens.mass, ens.x, r, delta)
         ens = ensemble0.stepped(t, *_flow(ens, E, dt))
         speed = np.sqrt((ens.v ** 2).sum(axis=1))
         if speed.max(initial=0.0) > m0 + SUPPORT_SLACK:

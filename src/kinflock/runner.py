@@ -6,11 +6,11 @@ mode-specific snapshot/field CSVs, and the diagnostics report
 1 otherwise; configuration and invariant errors are raised and mapped to
 exit codes by the CLI.
 
-A run loads only the code its mode executes: each mode imports its solver
-module (agents, oracle, fixed_point) when it starts, the seed streams, and
-with them numpy.random, are created only by sampling that draws.  Agents
-take the exact frozen-field step toward their local mean velocity, so
-their speed check, like the kinetic support check, holds at any dt.
+A run loads only the code its mode executes: oracle and picard runs import
+their solver module when they start, and the seed streams, with them
+numpy.random, are created only by sampling that draws.  Agents are unit
+masses that take the exact frozen-field step toward `kinetic.mean_field`,
+so their speed check, like the kinetic support check, holds at any dt.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import diagnostics as diag
 from . import io as kio
 from .config import ScenarioConfig
 from .errors import ConfigError
-from .kinetic import (InitialDistributionSpec, rejection_sample, run_linear,
+from .kinetic import (InitialDistributionSpec, mean_field, rejection_sample, run_linear,
                       run_self_consistent, sample_initial)
 from .phase import AgentState, exact_step, march
 
@@ -62,20 +62,23 @@ def oracle_field_from_config(cfg: ScenarioConfig):
     return lambda t, x: amp * np.tanh(np.asarray(x, float) / width)
 
 
-def agents_spec(cfg: ScenarioConfig) -> InitialDistributionSpec:
-    """The f0 of an agents run.  Agents carry no masses, but without mass or
-    a nonzero peak no draw is accepted: a config error found without drawing."""
+def drawable_spec(cfg: ScenarioConfig) -> InitialDistributionSpec:
+    """The f0 of cfg, from which `rejection_sample` can draw the agents or
+    monte_carlo particles of the run: a config error, found without drawing,
+    unless f0 has mass and a nonzero, finite peak to accept draws under."""
     spec = initial_spec_from_config(cfg)
-    n = cfg["n_agents"]
-    if n > 0 and not (spec.total_mass > 0 and spec.peak > 0):
-        raise ConfigError(f"the initial distribution has zero mass, so none of "
-                          f"the {n} agents can be drawn")
+    n, noun = ((cfg["n_agents"], "agents") if cfg["mode"] == "agents" else
+               (spec.sampling[1], "particles") if spec.sampling[0] == "monte_carlo" else (0, ""))
+    if n > 0 and not (spec.total_mass > 0 and 0 < spec.peak < np.inf):
+        why = "peaks past the largest double" if spec.peak == np.inf else "has zero mass"
+        raise ConfigError(f"the initial distribution {why}, so none of the {n} {noun} "
+                          "can be drawn")
     return spec
 
 
 def sample_agents(cfg: ScenarioConfig, rng):
     """Draw agents from the initial phase-space density."""
-    spec = agents_spec(cfg)
+    spec = drawable_spec(cfg)
     x, v = rejection_sample(spec, cfg["n_agents"], rng)
     return AgentState(0.0, cfg["dim"], x, v), spec
 
@@ -108,7 +111,7 @@ def sample_ensemble(cfg: ScenarioConfig):
     are created only for monte_carlo sampling, the one kind that draws.
     A t_final past the ensemble's horizon rule is a configuration error
     here, before the first step."""
-    spec = initial_spec_from_config(cfg)
+    spec = drawable_spec(cfg)
     rng = cfg.seed_streams()[0] if spec.sampling[0] == "monte_carlo" else None
     ens = sample_initial(spec, cfg["lam"], cfg["radius"], rng=rng)
     t_final, dt = cfg["t_final"], cfg["dt"]
@@ -151,15 +154,14 @@ def run_kinetic(cfg: ScenarioConfig, out_dir):
 
 
 def run_agents(cfg: ScenarioConfig, out_dir):
-    from .agents import alignment_field
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "agents"))
     state, _ = sample_agents(cfg, cfg.seed_streams()[0])
-    model, lam, r = cfg["model"], cfg["lam"], cfg["radius"]
+    lam, r, ones = cfg["lam"], cfg["radius"], np.ones(state.n)
     t_final, dt, stride = cfg["t_final"], cfg["dt"], cfg["snapshot_stride"]
 
     def step(s, k, t):
-        ubar, rate = alignment_field(s.positions, s.velocities, lam, r, model)
-        return AgentState(t, s.dim, *exact_step(s.positions, s.velocities, ubar, rate, dt))
+        x, v = s.positions, s.velocities
+        return AgentState(t, s.dim, *exact_step(x, v, mean_field(x, v, ones, x, r), lam, dt))
 
     snaps, steps = march(state, step, t_final, dt, stride)
     for st in snaps:
@@ -168,7 +170,7 @@ def run_agents(cfg: ScenarioConfig, out_dir):
                                "velocity_diameter": vdiam,
                                "spatial_diameter": xdiam})
     dcfg = cfg["diagnostics"]
-    if dcfg["enabled"] and model in ("cutoff_cs", "mt") and state.n:
+    if dcfg["enabled"] and state.n:
         speeds = [float(np.sqrt((s.velocities ** 2).sum(axis=1)).max()) for s in snaps]
         report.add_check(diag.check_support(speeds, speeds[0], dcfg["support_tol"],
                                             "agent_speed_max_principle"))

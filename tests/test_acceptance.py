@@ -18,7 +18,6 @@ import pytest
 from conftest import VERDICTS
 
 import kinflock
-from kinflock.agents import alignment_field
 from kinflock.cli import main
 from kinflock.config import load_config
 from kinflock.diagnostics import (check_density_growth, check_lp_law,
@@ -26,7 +25,7 @@ from kinflock.diagnostics import (check_density_growth, check_lp_law,
                                   check_volume_law, flocking_metrics,
                                   meanfield_distance, pushforward_sum)
 from kinflock.fixed_point import FieldGrid, apply_F, picard_solve
-from kinflock.kinetic import (InitialDistributionSpec, run_linear,
+from kinflock.kinetic import (InitialDistributionSpec, mean_field, run_linear,
                               run_self_consistent, sample_initial)
 from kinflock.oracle import PhaseGrid, oracle_lp_norm, quadrature_pushforward, run_oracle
 from kinflock.phase import AgentState, Ensemble, exact_step, march
@@ -40,11 +39,12 @@ def _verdict(num, desc, ok, value):
     assert ok, line
 
 
-def _agent_step(state, dt, lam, r, model="cutoff_cs"):
-    """The state after one agent step as `kinflock run` takes it."""
+def _agent_step(state, dt, lam, r):
+    """The state after one agent step as `kinflock run` takes it: toward
+    `mean_field` on unit masses at the agents."""
     x, v = state.positions, state.velocities
-    ubar, rate = alignment_field(x, v, lam, r, model)
-    return AgentState(state.t + dt, state.dim, *exact_step(x, v, ubar, rate, dt))
+    ubar = mean_field(x, v, np.ones(len(x)), x, r)
+    return AgentState(state.t + dt, state.dim, *exact_step(x, v, ubar, lam, dt))
 
 
 def scenario(name):
@@ -260,7 +260,7 @@ def test_criterion_8_flocking_decay():
     cluster, _ = sample_agents(cfg, rng)
     variances = [flocking_metrics(cluster)[0]]
     for _ in range(int(round(cfg["t_final"] / cfg["dt"]))):
-        cluster = _agent_step(cluster, cfg["dt"], cfg["lam"], cfg["radius"], cfg["model"])
+        cluster = _agent_step(cluster, cfg["dt"], cfg["lam"], cfg["radius"])
         variances.append(flocking_metrics(cluster)[0])
     monotone = all(b <= a + 1e-14 for a, b in zip(variances, variances[1:]))
     ok = diam_err <= 1e-9 and monotone

@@ -65,14 +65,16 @@ VICSEK_BASIC = {"mode": "agents", "model": "vicsek", "dim": 2, "lam": 1.0, "radi
                 "t_final": 50, "dt": 1.0, "seed": 42, "n_agents": 200, "snapshot_stride": 5,
                 "vicsek": {"speed": 0.03, "noise": 0.1}}
 
-# Configs of removed interactions and integrators, each with the one line
-# it now exits 2 with.
+# Configs of removed models, interactions and integrators, each with the
+# one line it now exits 2 with.
 REMOVED_INPUTS = [
-    pytest.param(small_agents("cs", kernel), f"kernel/kind: '{kernel['kind']}' is not one "
+    pytest.param(small_agents("mt", kernel), f"kernel/kind: '{kernel['kind']}' is not one "
                  "of ['indicator']", id=kernel["kind"]) for kernel in REMOVED_KERNELS
 ] + [
-    pytest.param(VICSEK_BASIC, "model: 'vicsek' is not one of ['cs', 'cutoff_cs', 'mt']",
+    pytest.param(VICSEK_BASIC, "model: 'vicsek' is not one of ['cutoff_cs', 'mt']",
                  id="vicsek-basic"),
+    pytest.param(small_agents("cs", {"kind": "indicator"}),
+                 "model: 'cs' is not one of ['cutoff_cs', 'mt']", id="cs"),
     pytest.param(dict(small_agents("cutoff_cs", {"kind": "indicator"}),
                       vicsek=VICSEK_BASIC["vicsek"]),
                  "(root): additional properties are not allowed ('vicsek' was unexpected)",
@@ -83,15 +85,20 @@ REMOVED_INPUTS = [
     for name in ("rk4", "explicit_euler")
 ]
 
+# The message of an f0 from which no agent can be drawn, and a 2D f0 whose
+# every computed value underflows.
+ZERO_MASS = "the initial distribution has zero mass, so none of the 100 agents can be drawn"
+UNDERFLOW = {"amplitude": 1e300, "x_bounds": [[-1.0, 1.0], [-1.0, 1.0]], "x_sigma": 0.25,
+             "x_centers": [[8.0, 8.0]]}
+
 # Schema-reachable paths that no shipped scenario runs, with the exit code
 # each gives today.  Two oracle runs exit 1: on the default 128 x 128 mesh
 # the semi-Lagrangian grid loses more mass than the 1e-3 quadrature floor
 # allows (mass_conservation 9.9e-3 under the tanh field at t = 0.5, 7.4e-3
 # for the built-in f0 at t = 1), and lp_law_p1 fails with it.
 UNSHIPPED_PATHS = [
-    pytest.param(small_agents(model, kernel), "agents.csv", 2 if kernel in REMOVED_KERNELS else 0,
-                 id=f"{model}-{kernel['kind']}")
-    for model in ("cs", "mt")
+    pytest.param(small_agents("mt", kernel), "agents.csv", 2 if kernel in REMOVED_KERNELS else 0,
+                 id=f"mt-{kernel['kind']}")
     for kernel in [{"kind": "indicator"}, *REMOVED_KERNELS]
 ] + [
     pytest.param(oracle_l2({"kind": "constant", "value": 0.5}), "grid.csv", 0,
@@ -342,6 +349,34 @@ class TestCli:
         assert err.startswith(f"configuration error: config key initial/{key}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("scenario, key", [
+        ("picard_small.json", "v_sigma"), ("kinetic_two_bump.json", "x_sigma"),
+        ("oracle_l2.json", "v_sigma")])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_sigma_whose_square_overflows_exits_2(self, tmp_path, capsys, scenario, key,
+                                                  command):
+        # f0 divides by 2*sigma**2, and Python's ** raised OverflowError:
+        # `validate` printed a traceback and `run` exited 3, in every mode
+        data = json.loads(Path(scenario_path(scenario)).read_text())
+        data["initial"][key] = 2.0 ** 512
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(data))
+        args = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"configuration error: config key initial/{key}: "
+                                f"{2.0 ** 512!r} is too large, its square would pass "
+                                "the largest double\n")
+
+    def test_largest_sigma_below_2_to_512_evaluates_f0(self):
+        # its square is finite; 2*sigma**2 is inf, so f0 is flat in x
+        data = minimal_kinetic()
+        data["initial"].update(kind="product_gaussian_truncated",
+                               x_sigma=math.nextafter(2.0 ** 512, 0))
+        spec = runner.initial_spec_from_config(validate_config(data))
+        assert spec.density([[0.0], [1.0]], [[0.0], [0.0]]).tolist() == [1.0, 1.0]
+
     @pytest.mark.parametrize("xc, vc", [([0.1], None), ([[0.1]], [[-0.2]])])
     def test_product_gaussian_takes_one_bare_or_listed_centre(self, xc, vc):
         data = minimal_kinetic()
@@ -350,14 +385,24 @@ class TestCli:
             data["initial"]["v_centers"] = vc
         validate_config(data)
 
-    @pytest.mark.parametrize("change", [
-        {"amplitude": 0}, {"v_centers": [[0.0, 60.0]]}, {"x_centers": [[60.0, 0.0]]},
+    @pytest.mark.parametrize("change, message", [
+        ({"amplitude": 0}, ZERO_MASS), ({"v_centers": [[0.0, 60.0]]}, ZERO_MASS),
+        ({"x_centers": [[60.0, 0.0]]}, ZERO_MASS),
         # f0 has a mass of 4e-45, but exp(-784) underflows, so every
         # computed value is 0 and no draw could be accepted
-        {"amplitude": 1e300, "x_bounds": [[-1.0, 1.0], [-1.0, 1.0]], "x_sigma": 0.25,
-         "x_centers": [[8.0, 8.0]]}])
+        (UNDERFLOW, ZERO_MASS),
+        # two coincident bumps of 1e308 peak at 2e308, past the largest double
+        ({"kind": "two_bump", "amplitude": 1e308, "x_centers": [[0.0, 0.0]] * 2,
+          "v_centers": [[0.0, 0.0]] * 2},
+         "the initial distribution peaks past the largest double, so none of the 100 "
+         "agents can be drawn"),
+        ({"v_sigma": 3e299},
+         "config key initial/v_sigma: 3e+299 is too large, its square would pass the "
+         "largest double"),
+    ], ids=[f"change{i}" for i in range(6)])
     @pytest.mark.parametrize("command", ["run", "validate"])
-    def test_run_rejects_agents_drawn_from_zero_mass(self, tmp_path, capsys, command, change):
+    def test_run_rejects_agents_drawn_from_zero_mass(self, tmp_path, capsys, command, change,
+                                                     message):
         data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
         data["initial"].update(change)
         cfg = tmp_path / "cfg.json"
@@ -366,8 +411,26 @@ class TestCli:
         args = ["--out", str(out)] if command == "run" else []
         assert main([command, "--config", str(cfg), *args]) == 2
         captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("mode", ["kinetic", "picard"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_run_rejects_particles_drawn_from_zero_mass(self, tmp_path, capsys, command, mode):
+        # the agents' rule holds for every monte_carlo draw: without it the
+        # kinetic run drew no particle and exited 0
+        data = minimal_kinetic(mode=mode, dim=2, delta=0.1)
+        data["initial"].update(UNDERFLOW, kind="product_gaussian_truncated",
+                               v_bounds=[[-1.0, 1.0]] * 2,
+                               sampling={"kind": "monte_carlo", "n": 100})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        args = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *args]) == 2
+        captured = capsys.readouterr()
         assert captured.err == ("configuration error: the initial distribution has zero "
-                                "mass, so none of the 100 agents can be drawn\n")
+                                "mass, so none of the 100 particles can be drawn\n")
         assert captured.out == "" and not out.exists()
 
     def test_run_draws_agents_from_a_bump_centred_outside_its_box(self, tmp_path):
@@ -408,8 +471,8 @@ class TestCli:
     @pytest.mark.parametrize("data, message", REMOVED_INPUTS)
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_removed_kernels_exit_2(self, tmp_path, capsys, data, message, command):
-        # the smooth kernels, the Vicsek heading model and every agent
-        # integrator but the exact frozen-field step
+        # the smooth kernels, the Vicsek heading model, the lam/N-normalised
+        # cs model and every agent integrator but the exact frozen-field step
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
         out = tmp_path / "out"
@@ -655,8 +718,7 @@ class TestCli:
 
 # --- start-up: a run loads only the code its mode executes -------------------
 
-LAZY_MODULES = ["kinflock.agents", "kinflock.fixed_point", "kinflock.oracle",
-                "logging", "numpy.random"]
+LAZY_MODULES = ["kinflock.fixed_point", "kinflock.oracle", "logging", "numpy.random"]
 
 
 def _lazy_modules_loaded(code):
@@ -695,7 +757,7 @@ def _monte_carlo_kinetic():
     pytest.param(minimal_kinetic(), [], id="kinetic-tensor-grid"),
     pytest.param(_monte_carlo_kinetic(), ["numpy.random"], id="kinetic-monte-carlo"),
     pytest.param(small_agents("cutoff_cs", {"kind": "indicator"}),
-                 ["kinflock.agents", "numpy.random"], id="agents"),
+                 ["numpy.random"], id="agents"),
     pytest.param(oracle_l2({"kind": "zero"}), ["kinflock.oracle"], id="oracle"),
     # lipschitz_modulus draws its sample pairs from numpy.random
     pytest.param(minimal_kinetic(mode="picard", delta=0.1,

@@ -426,22 +426,22 @@ class TestEnsembleSteps:
 class TestMomentsAndFields:
     def test_empty_neighborhood(self):
         ens = sample_initial(unit_square_spec(8, 8), 1.0, 0.5)
-        rho, j = moments_at_points(ens, [100.0], 0.5)
+        rho, j = moments_at_points(ens.x, ens.v, ens.mass, [100.0], 0.5)
         assert rho.tolist() == [0.0] and j.tolist() == [[0.0]]
-        assert mean_field(ens, [100.0], 0.5).tolist() == [[0.0]]
+        assert mean_field(ens.x, ens.v, ens.mass, [100.0], 0.5).tolist() == [[0.0]]
 
     def test_single_particle_moment(self):
         ens = Ensemble(0.0, 2, 1.0, 1.0, [[0.0, 0.0]], [[2.0, 0.0]],
                        [0.5], [1.0], [0.5], initial_support_bound=2.0)
-        rho, j = moments_at_points(ens, [0.1, 0.0], 1.0)
+        rho, j = moments_at_points(ens.x, ens.v, ens.mass, [0.1, 0.0], 1.0)
         assert rho[0] == pytest.approx(0.5)
         assert np.allclose(j, [[1.0, 0.0]])
-        assert np.allclose(mean_field(ens, [0.1, 0.0], 1.0), [[2.0, 0.0]])
+        assert np.allclose(mean_field(ens.x, ens.v, ens.mass, [0.1, 0.0], 1.0), [[2.0, 0.0]])
 
     def test_two_equal_mass_particles_average(self):
         ens = Ensemble(0.0, 1, 1.0, 1.0, [[0.0], [0.1]], [[1.0], [3.0]],
                        [0.2, 0.2], [1.0, 1.0], [0.2, 0.2], initial_support_bound=3.0)
-        u = mean_field(ens, [0.05], 1.0)
+        u = mean_field(ens.x, ens.v, ens.mass, [0.05], 1.0)
         assert np.allclose(u, [[2.0]])
 
     def test_moments_match_brute_force(self):
@@ -454,7 +454,7 @@ class TestMomentsAndFields:
         for _ in range(20):
             c = rng.uniform(0, 1, 2)
             r = rng.uniform(0.05, 0.4)
-            rho, j = moments_at_points(ens, c, r)
+            rho, j = moments_at_points(ens.x, ens.v, ens.mass, c, r)
             sel = ((ens.x - c) ** 2).sum(axis=1) < r * r
             assert rho[0] == pytest.approx(math.fsum(ens.mass[sel]), abs=1e-14)
             assert np.allclose(j[0], (ens.mass[sel, None] * ens.v[sel]).sum(axis=0),
@@ -464,7 +464,7 @@ class TestMomentsAndFields:
         w, delta = 0.3, 0.1
         ens = Ensemble(0.0, 1, 1.0, 1.0, [[0.0]], [[2.0]],
                        [w], [1.0], [w], initial_support_bound=2.0)
-        u = mean_field(ens, [0.0], 1.0, delta)
+        u = mean_field(ens.x, ens.v, ens.mass, [0.0], 1.0, delta)
         assert np.allclose(u, [[w / (delta + w) * 2.0]])
 
     def test_delta_sweep_algebraic_identity(self):
@@ -475,10 +475,10 @@ class TestMomentsAndFields:
                        rng.uniform(0.01, 0.1, n), np.ones(n), rng.uniform(0.01, 0.1, n),
                        initial_support_bound=1.0)
         x = [0.0]
-        rho, j = moments_at_points(ens, x, 0.5)
-        u = mean_field(ens, x, 0.5)
+        rho, j = moments_at_points(ens.x, ens.v, ens.mass, x, 0.5)
+        u = mean_field(ens.x, ens.v, ens.mass, x, 0.5)
         for delta in (1e-1, 1e-2, 1e-3):
-            ud = mean_field(ens, x, 0.5, delta)
+            ud = mean_field(ens.x, ens.v, ens.mass, x, 0.5, delta)
             expected_gap = delta * j / (rho * (delta + rho))[:, None]
             assert np.allclose(u - ud, expected_gap, atol=1e-14)
             assert np.linalg.norm(ud) <= np.linalg.norm(u) + 1e-15
@@ -486,7 +486,7 @@ class TestMomentsAndFields:
     def test_delta_rejects_negative(self):
         ens = two_particle_ensemble()
         with pytest.raises(InvalidInputError, match="delta"):
-            mean_field(ens, [0.0], 1.0, -0.1)
+            mean_field(ens.x, ens.v, ens.mass, [0.0], 1.0, -0.1)
 
 
 def kinetic_reference(x, v, E, lam, dt):
