@@ -1,13 +1,13 @@
 """Scenario configuration: JSON loading, schema validation, defaults.
 
 Unknown keys are rejected by the shipped schema (typos in scientific
-parameters should fail loudly).  A single 64-bit scenario seed is split
-into independent streams with numpy's SeedSequence in a fixed order:
-child 0 drives initial sampling; children 1 and 2 are reserved and unused.
-Child 1 drew the noise of the Vicsek heading model, which is removed; it
-stays reserved so that the streams of every config keep their draws.  The
-Lipschitz estimate of picard mode samples with a fixed `default_rng(0)`,
-independent of the seed.
+parameters should fail loudly).  `validate_config` decides every value a
+run uses and writes it into the config, so `resolved_config.json` holds
+them all: `_DEFAULTS`, the defaults of each sampling and field kind, the
+Gaussian centres and the f0 of an oracle config without one.  The seed
+gives one stream, child 0 of its SeedSequence, which draws as child 0 of
+the three children spawned before, so every config keeps its draws.  The
+Lipschitz estimate of picard mode samples with a fixed `default_rng(0)`.
 
 The schema is checked by `check_schema`, which implements the subset of
 JSON Schema that the shipped schema uses, with two rules stricter than
@@ -42,7 +42,7 @@ _DEFAULTS = {
         "amplitude": 1.0,
         "x_sigma": 0.25,
         "v_sigma": 0.25,
-        "sampling": {"kind": "tensor_grid", "n_x": 16, "n_v": 16},
+        "sampling": {"kind": "tensor_grid"},
     },
     "oracle": {
         "n_x": 128,
@@ -68,6 +68,15 @@ _DEFAULTS = {
         "lp_rel_tol": 0.05,
         "enabled": True,
     },
+}
+
+# the defaults of each initial/sampling and oracle/field kind
+_KIND_DEFAULTS = {
+    "tensor_grid": {"n_x": 16, "n_v": 16},
+    "monte_carlo": {"n": 1000},
+    "zero": {},
+    "constant": {"value": 0.0},
+    "tanh": {"amplitude": 0.5, "width": 1.0},
 }
 
 
@@ -151,21 +160,17 @@ class ScenarioConfig:
         return self.data[key]
 
     def seed_streams(self):
-        """(sampling_rng, reserved_rng, reserved_rng), deterministically
-        derived from the scenario seed."""
-        children = np.random.SeedSequence(self.data["seed"]).spawn(3)
-        return tuple(np.random.default_rng(c) for c in children)
+        """(sampling_rng,): the one stream of the scenario seed."""
+        return (np.random.default_rng(np.random.SeedSequence(self.data["seed"]).spawn(1)[0]),)
 
     def to_json(self):
         return json.dumps(self.data, indent=2, sort_keys=True)
 
 
 def validate_config(data: dict) -> ScenarioConfig:
-    """Schema-validate, fill defaults, and run the semantic checks."""
+    """Schema-validate, fill every default, and run the semantic checks."""
     check_schema(data)
     merged = _merge_defaults(_DEFAULTS, data)
-    if "initial" not in data:
-        merged.pop("initial", None)  # partial defaults alone would not re-validate
     mode = merged["mode"]
     if mode == "picard" and merged["delta"] <= 0:
         raise ConfigError("picard mode requires delta > 0 (the regularization "
@@ -182,24 +187,38 @@ def validate_config(data: dict) -> ScenarioConfig:
         raise ConfigError(f"{mode} mode requires an initial distribution spec")
     if mode == "oracle" and merged["dim"] != 1:
         raise ConfigError("oracle mode is 1D only")
-    x_min, x_max = merged["oracle"]["x_min"], merged["oracle"]["x_max"]
+    oc, ib = merged["oracle"], merged["initial"]
+    x_min, x_max = oc["x_min"], oc["x_max"]
     if mode == "oracle" and not x_min < x_max:
         raise ConfigError(f"config key oracle/x_max: {x_max!r} must be greater "
                           f"than x_min = {x_min!r}")
-    ib = merged.get("initial")
-    if ib is not None and "x_bounds" in ib:
-        if len(ib["x_bounds"]) != merged["dim"] or len(ib["v_bounds"]) != merged["dim"]:
-            raise ConfigError("initial bounds must have one [lo, hi] pair per dimension")
-        for key in ("x_bounds", "v_bounds"):
-            for i, (lo, hi) in enumerate(ib[key]):
-                if not lo < hi:
-                    raise ConfigError(f"config key initial/{key}/{i}: lo must be less "
-                                      f"than hi, got {[lo, hi]!r}")
-        for key in ("x_sigma", "v_sigma"):  # a Gaussian f0 squares them
-            if ib["kind"] != "box_indicator" and not ib[key] < 2.0 ** 512:
-                raise ConfigError(f"config key initial/{key}: {ib[key]!r} is too large, "
-                                  "its square would pass the largest double")
+    if "initial" not in data:  # the oracle's own f0: a Gaussian about 0 on its grid
+        ib.update(kind="product_gaussian_truncated", x_bounds=[[x_min, x_max]],
+                  v_bounds=[[-oc["v_max"], oc["v_max"]]], x_centers=[[0.0]], v_centers=[[0.0]])
+    for block in (ib["sampling"], oc["field"]):
+        block.update(_KIND_DEFAULTS[block["kind"]] | block)
+    if len(ib["x_bounds"]) != merged["dim"] or len(ib["v_bounds"]) != merged["dim"]:
+        raise ConfigError("initial bounds must have one [lo, hi] pair per dimension")
+    for key in ("x_bounds", "v_bounds"):
+        for i, (lo, hi) in enumerate(ib[key]):
+            if not lo < hi:
+                raise ConfigError(f"config key initial/{key}/{i}: lo must be less "
+                                  f"than hi, got {[lo, hi]!r}")
+    if ib["kind"] != "box_indicator":
+        for key in ("x_sigma", "v_sigma"):  # a Gaussian f0 divides by 2*sigma**2
+            s = ib[key]
+            why = ("too large, its square would pass the largest double" if not s < 2.0 ** 512
+                   else "too small, twice its square underflows to 0" if not 2 * s ** 2 > 0
+                   else None)
+            if why:
+                raise ConfigError(f"config key initial/{key}: {s!r} is {why}")
         _check_centres(ib, merged["dim"])
+        # the box means, or two bumps about them at opposite positions and velocities
+        xm, vm = (np.asarray(ib[key], float).mean(axis=1) for key in ("x_bounds", "v_bounds"))
+        pair = ib["kind"] == "two_bump"
+        for key, centres in (("x_centers", [xm - 0.5, xm + 0.5] if pair else [xm]),
+                             ("v_centers", [vm + 0.5, vm - 0.5] if pair else [vm])):
+            ib.setdefault(key, np.array(centres).tolist())
     exps = merged["diagnostics"]["lp_exponents"]
     repeated = [p for i, p in enumerate(exps) if p in exps[:i]]
     if repeated:  # 2 and 2.0 are one exponent: one check and one record column
@@ -217,8 +236,6 @@ def _check_centres(ib, dim):
                 and all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in c))
 
     kind = ib["kind"]
-    if kind == "box_indicator":  # it has no centres to read
-        return
     given = [key for key in ("x_centers", "v_centers") if key in ib]
     for key in given:
         c = ib[key]

@@ -195,7 +195,7 @@ def picard_solve(f0: Ensemble, r, delta, T, n_time_nodes, n_space_nodes,
     return result
 
 
-def lipschitz_modulus(grid: FieldGrid, sample_pairs=200, rng=None):
+def lipschitz_modulus(grid: FieldGrid, sample_pairs, rng):
     """Empirical spatial and temporal Lipschitz moduli of the interpolated
     field, from random finite differences inside the box.
 
@@ -207,7 +207,6 @@ def lipschitz_modulus(grid: FieldGrid, sample_pairs=200, rng=None):
     matmul of (n, 1, d) by (n, d, 1) takes every row's dot product through
     the dot kernel that `np.linalg.norm` uses, with its rounding.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     d = grid.dim
     lo = np.array([a[0] for a in grid.axes])
     hi = np.array([a[-1] for a in grid.axes])

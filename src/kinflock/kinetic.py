@@ -30,28 +30,29 @@ SUPPORT_SLACK = 1e-9
 @dataclass
 class InitialDistributionSpec:
     """Description of the initial phase-space density f0 and how to
-    discretize it into particles.
+    discretize it into particles.  Every value is given: the defaults of a
+    config are decided by `config.validate_config`.
 
     kinds:
       box_indicator            amplitude on x_bounds x v_bounds boxes
       product_gaussian_truncated  one separable Gaussian bump, hard-truncated
                                   to the stated boxes
-      two_bump                 a sum of such bumps, by default two at
-                               opposite positions and velocities
-    sampling: ("tensor_grid", n_x, n_v) or ("monte_carlo", N, seed)
+      two_bump                 a sum of such bumps
+    sampling: ("tensor_grid", n_x, n_v) or ("monte_carlo", N)
+    x_centers, v_centers: the bump centres, (n_bumps, dim) after
+    `__post_init__`; box_indicator reads none, so None will do.
     """
 
     kind: str
     dim: int
     x_bounds: np.ndarray  # (dim, 2)
     v_bounds: np.ndarray  # (dim, 2)
-    amplitude: float = 1.0
-    sampling: tuple = ("tensor_grid", 16, 16)
-    # gaussian / two_bump parameters
-    x_centers: Optional[np.ndarray] = None  # (n_bumps, dim)
-    v_centers: Optional[np.ndarray] = None
-    x_sigma: float = 0.25
-    v_sigma: float = 0.25
+    amplitude: float
+    sampling: tuple
+    x_centers: Optional[np.ndarray]
+    v_centers: Optional[np.ndarray]
+    x_sigma: float
+    v_sigma: float
 
     def __post_init__(self):
         self.x_bounds = np.asarray(self.x_bounds, dtype=float).reshape(self.dim, 2)
@@ -62,19 +63,9 @@ class InitialDistributionSpec:
             raise InvalidInputError("v_bounds must be ordered")
         if self.amplitude < 0:
             raise InvalidInputError("amplitude must be >= 0")
-        if self.kind == "two_bump" and self.x_centers is None:
-            self.x_centers = np.stack([self.x_bounds.mean(axis=1) - 0.5,
-                                       self.x_bounds.mean(axis=1) + 0.5])
-            self.v_centers = np.stack([self.v_bounds.mean(axis=1) + 0.5,
-                                       self.v_bounds.mean(axis=1) - 0.5])
-        if self.kind in ("product_gaussian_truncated", "two_bump"):
-            # (n_bumps, dim) centres: a product Gaussian is the one-bump
-            # case, centred on the box means unless given
-            bumps = 1 if self.kind == "product_gaussian_truncated" else -1
-            for name, bounds in (("x_centers", self.x_bounds), ("v_centers", self.v_bounds)):
-                c = getattr(self, name)
-                c = bounds.mean(axis=1) if c is None else c
-                setattr(self, name, np.asarray(c, float).reshape(bumps, self.dim))
+        if self.kind != "box_indicator":
+            self.x_centers = np.asarray(self.x_centers, float).reshape(-1, self.dim)
+            self.v_centers = np.asarray(self.v_centers, float).reshape(-1, self.dim)
 
     @property
     def support_bound(self):
@@ -145,8 +136,9 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
     """Discretize f0 into an Ensemble.
 
     tensor_grid places a particle at every phase-cell center with the cell
-    volume as its phase volume; monte_carlo draws N by `rejection_sample`,
-    each of mass total_mass/N, or none if f0 has no mass or peak.
+    volume as its phase volume; monte_carlo draws N from `rng` by
+    `rejection_sample`, each of mass total_mass/N, or none if f0 has no
+    mass or peak.  Only monte_carlo reads `rng`.
     """
     d = spec.dim
     mode = spec.sampling[0]
@@ -162,8 +154,7 @@ def sample_initial(spec: InitialDistributionSpec, lam, radius, rng=None):
         vol = np.full(len(xx), dx * dv)
         mass = dens * vol
     elif mode == "monte_carlo":
-        _, n_particles, seed = spec.sampling
-        rng = np.random.default_rng(seed) if rng is None else rng
+        _, n_particles = spec.sampling
         total = spec.total_mass
         if n_particles == 0 or not (total > 0 and spec.peak > 0):
             xx = np.zeros((0, d)); vv = np.zeros((0, d))

@@ -31,23 +31,15 @@ from .phase import AgentState, exact_step, march
 
 def initial_spec_from_config(cfg: ScenarioConfig) -> InitialDistributionSpec:
     ib = cfg["initial"]
-    sampling = ib["sampling"]
-    if sampling["kind"] == "tensor_grid":
-        samp = ("tensor_grid", sampling["n_x"], sampling["n_v"])
-    else:
-        samp = ("monte_carlo", sampling.get("n", 1000), None)
+    s = ib["sampling"]
+    sampling = ((s["kind"], s["n_x"], s["n_v"]) if s["kind"] == "tensor_grid"
+                else (s["kind"], s["n"]))
+    xc, vc = ((None, None) if ib["kind"] == "box_indicator" else
+              (ib["x_centers"], ib["v_centers"]))
     return InitialDistributionSpec(
-        kind=ib["kind"],
-        dim=cfg["dim"],
-        x_bounds=np.asarray(ib["x_bounds"], float),
-        v_bounds=np.asarray(ib["v_bounds"], float),
-        amplitude=ib["amplitude"],
-        sampling=samp,
-        x_centers=np.asarray(ib["x_centers"], float) if "x_centers" in ib else None,
-        v_centers=np.asarray(ib["v_centers"], float) if "v_centers" in ib else None,
-        x_sigma=ib["x_sigma"],
-        v_sigma=ib["v_sigma"],
-    )
+        kind=ib["kind"], dim=cfg["dim"], x_bounds=ib["x_bounds"], v_bounds=ib["v_bounds"],
+        amplitude=ib["amplitude"], sampling=sampling, x_centers=xc, v_centers=vc,
+        x_sigma=ib["x_sigma"], v_sigma=ib["v_sigma"])
 
 
 def oracle_field_from_config(cfg: ScenarioConfig):
@@ -55,24 +47,23 @@ def oracle_field_from_config(cfg: ScenarioConfig):
     if fc["kind"] == "zero":
         return lambda t, x: np.zeros_like(np.asarray(x, float))
     if fc["kind"] == "constant":
-        value = fc.get("value", 0.0)
-        return lambda t, x: np.full_like(np.asarray(x, float), value)
-    amp = fc.get("amplitude", 0.5)
-    width = fc.get("width", 1.0)
-    return lambda t, x: amp * np.tanh(np.asarray(x, float) / width)
+        return lambda t, x: np.full_like(np.asarray(x, float), fc["value"])
+    return lambda t, x: fc["amplitude"] * np.tanh(np.asarray(x, float) / fc["width"])
 
 
 def drawable_spec(cfg: ScenarioConfig) -> InitialDistributionSpec:
-    """The f0 of cfg, from which `rejection_sample` can draw the agents or
-    monte_carlo particles of the run: a config error, found without drawing,
-    unless f0 has mass and a nonzero, finite peak to accept draws under."""
+    """The f0 of cfg, from which the run's particles or agents can be made:
+    a config error, found without drawing, if f0 peaks past the largest
+    double, or if the run draws agents or monte_carlo particles by
+    `rejection_sample` and f0 has no mass or a zero peak to accept them."""
     spec = initial_spec_from_config(cfg)
     n, noun = ((cfg["n_agents"], "agents") if cfg["mode"] == "agents" else
                (spec.sampling[1], "particles") if spec.sampling[0] == "monte_carlo" else (0, ""))
-    if n > 0 and not (spec.total_mass > 0 and 0 < spec.peak < np.inf):
-        why = "peaks past the largest double" if spec.peak == np.inf else "has zero mass"
-        raise ConfigError(f"the initial distribution {why}, so none of the {n} {noun} "
-                          "can be drawn")
+    why = ("peaks past the largest double" if spec.peak == np.inf else
+           "has zero mass" if n > 0 and not (spec.total_mass > 0 and spec.peak > 0) else None)
+    if why:
+        raise ConfigError(f"the initial distribution {why}"
+                          + (f", so none of the {n} {noun} can be drawn" if n else ""))
     return spec
 
 
@@ -182,11 +173,8 @@ def run_oracle_mode(cfg: ScenarioConfig, out_dir):
     from .oracle import PhaseGrid, oracle_lp_norm, run_oracle
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "oracle"))
     oc = cfg["oracle"]
-    spec = initial_spec_from_config(cfg) if "initial" in cfg.data else None
-    if spec is not None:
-        f0 = lambda X, V: spec.density(X[..., None], V[..., None])
-    else:
-        f0 = lambda X, V: np.exp(-X ** 2 / 0.125 - V ** 2 / 0.125)
+    spec = initial_spec_from_config(cfg)
+    f0 = lambda X, V: spec.density(X[..., None], V[..., None])
     lam = 0.0 if oc["lam_zero_transport"] else cfg["lam"]
     grid0 = PhaseGrid.from_function(f0, oc["x_min"], oc["x_max"], oc["n_x"],
                                     oc["v_max"], oc["n_v"], lam)

@@ -61,7 +61,7 @@ def particle_runs():
     runs = {}
     for name in PARTICLE_SCENARIOS:
         cfg = scenario(name)
-        rng, _, _ = cfg.seed_streams()
+        rng = cfg.seed_streams()[0]
         ens0 = sample_initial(initial_spec_from_config(cfg), cfg["lam"],
                               cfg["radius"], rng=rng)
         dt = cfg["dt"]
@@ -107,7 +107,7 @@ def test_criterion_2_velocity_support_bound():
     ok = True
     for name in PARTICLE_SCENARIOS:
         cfg = scenario(name)
-        rng, _, _ = cfg.seed_streams()
+        rng = cfg.seed_streams()[0]
         ens0 = sample_initial(initial_spec_from_config(cfg), cfg["lam"],
                               cfg["radius"], rng=rng)
         assert cfg["lam"] * cfg["dt"] <= 1.0
@@ -189,7 +189,8 @@ def test_criterion_6_measure_preservation():
     def make_spec(n):
         return InitialDistributionSpec(
             kind="product_gaussian_truncated", dim=1,
-            x_bounds=[[-2.0, 2.0]], v_bounds=[[-2.0, 2.0]],
+            x_bounds=[[-2.0, 2.0]], v_bounds=[[-2.0, 2.0]], amplitude=1.0,
+            x_centers=[[0.0]], v_centers=[[0.0]],
             x_sigma=0.5, v_sigma=0.5, sampling=("tensor_grid", n, n))
 
     spec0 = make_spec(8)
@@ -255,7 +256,7 @@ def test_criterion_8_flocking_decay():
                    - 2.0 * np.exp(-lam))
 
     cfg = scenario("agents_cluster.json")
-    rng, _, _ = cfg.seed_streams()
+    rng = cfg.seed_streams()[0]
     from kinflock.runner import sample_agents
     cluster, _ = sample_agents(cfg, rng)
     variances = [flocking_metrics(cluster)[0]]
@@ -272,7 +273,7 @@ def test_criterion_8_flocking_decay():
 
 def test_criterion_9_fixed_point_bound_and_continuity():
     cfg = scenario("picard_small.json")
-    rng, _, _ = cfg.seed_streams()
+    rng = cfg.seed_streams()[0]
     ens0 = sample_initial(initial_spec_from_config(cfg), cfg["lam"],
                           cfg["radius"], rng=rng)
     m0 = ens0.initial_support_bound
@@ -304,7 +305,7 @@ def test_criterion_9_fixed_point_bound_and_continuity():
 
 def test_criterion_10_cross_solver_consistency():
     cfg = scenario("picard_small.json")
-    rng, _, _ = cfg.seed_streams()
+    rng = cfg.seed_streams()[0]
     ens0 = sample_initial(initial_spec_from_config(cfg), cfg["lam"],
                           cfg["radius"], rng=rng)
     pc = cfg["picard"]
@@ -333,7 +334,7 @@ def test_criterion_11_meanfield_trend():
     def make_spec(sampling):
         return InitialDistributionSpec(
             kind="two_bump", dim=1, x_bounds=[[-2.0, 2.0]], v_bounds=[[-1.0, 1.0]],
-            x_centers=[[-0.7], [0.7]], v_centers=[[0.4], [-0.4]],
+            amplitude=1.0, x_centers=[[-0.7], [0.7]], v_centers=[[0.4], [-0.4]],
             x_sigma=0.3, v_sigma=0.2, sampling=sampling)
 
     ref = run_self_consistent(sample_initial(make_spec(("tensor_grid", 48, 48)),
@@ -344,7 +345,7 @@ def test_criterion_11_meanfield_trend():
     for seed in range(5):
         # nested samples: each N-agent cloud is a prefix of the largest
         # draw, so shrinking Monte Carlo error dominates seed-to-seed noise
-        full = sample_initial(make_spec(("monte_carlo", max(sizes), None)),
+        full = sample_initial(make_spec(("monte_carlo", max(sizes))),
                               lam, r, rng=np.random.default_rng(seed))
         for n in sizes:
             st = AgentState(0.0, 1, full.x[:n], full.v[:n])

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -88,6 +89,8 @@ REMOVED_INPUTS = [
 # The message of an f0 from which no agent can be drawn, and a 2D f0 whose
 # every computed value underflows.
 ZERO_MASS = "the initial distribution has zero mass, so none of the 100 agents can be drawn"
+SIGMA_UNDERFLOWS = ("config key initial/x_sigma: 1e-200 is too small, twice its square "
+                    "underflows to 0")
 UNDERFLOW = {"amplitude": 1e300, "x_bounds": [[-1.0, 1.0], [-1.0, 1.0]], "x_sigma": 0.25,
              "x_centers": [[8.0, 8.0]]}
 
@@ -118,6 +121,31 @@ UNSHIPPED_PATHS = [
                               "v_bounds": [[0.0, 0.0], [0.0, 0.0]]}},
                  "agents.csv", 2, id="vicsek-initial-bounds"),
 ]
+
+
+def round_trip_configs():
+    """The shipped scenarios, the benchmark workloads at seed 1, and configs
+    that leave values to the defaults: monte_carlo without n, fields
+    without parameters, an oracle without f0, Gaussians without centres."""
+    configs = {name: json.loads(Path(scenario_path(name + ".json")).read_text())
+               for name in ("two_particle_symmetric", "kinetic_two_bump", "oracle_l2",
+                            "picard_small", "agents_cluster")}
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs.update({name: dict(make(1), seed=1) for name, make in workloads.WORKLOADS.items()})
+    monte_carlo = minimal_kinetic()
+    monte_carlo["initial"]["sampling"] = {"kind": "monte_carlo"}
+    configs.update({
+        "monte-carlo-without-n": monte_carlo,
+        "constant-field": oracle_l2({"kind": "constant"}),
+        "tanh-field": oracle_l2({"kind": "tanh"}),
+        "agents-without-centres": small_agents("cutoff_cs", {"kind": "indicator"}),
+        **{param.id: param.values[0] for param in UNSHIPPED_PATHS
+           if param.id in ("oracle-without-initial", "two-bump-default-centres")},
+    })
+    return configs
 
 
 class TestValidation:
@@ -192,10 +220,61 @@ class TestValidation:
                      "agents_cluster.json"):
             load_config(scenario_path(name))
 
-    def test_resolved_config_round_trips(self):
-        cfg = validate_config(minimal_kinetic())
-        again = validate_config(json.loads(cfg.to_json()))
-        assert again.data == cfg.data
+    def test_resolved_config_round_trips(self, tmp_path):
+        # resolved_config.json holds every value the run used: it validates
+        # to itself, byte for byte, and runs to the same files
+        for name, data in round_trip_configs().items():
+            first, again = tmp_path / name / "first", tmp_path / name / "again"
+            runner.run(validate_config(data), first)
+            resolved = (first / "resolved_config.json").read_text()
+            assert validate_config(json.loads(resolved)).to_json() + "\n" == resolved, name
+            runner.run(load_config(first / "resolved_config.json"), again)
+            files = sorted(p.name for p in first.iterdir())
+            assert files == sorted(p.name for p in again.iterdir()), name
+            for f in files:
+                assert (first / f).read_bytes() == (again / f).read_bytes(), (name, f)
+
+    def test_sampling_and_field_defaults_follow_their_kind(self):
+        def resolved(sampling, field):
+            data = oracle_l2(field)
+            data["initial"]["sampling"] = sampling
+            cfg = validate_config(data)
+            return cfg["initial"]["sampling"], cfg["oracle"]["field"]
+
+        assert resolved({"kind": "monte_carlo"}, {"kind": "constant"}) == (
+            {"kind": "monte_carlo", "n": 1000}, {"kind": "constant", "value": 0.0})
+        assert resolved({"kind": "tensor_grid"}, {"kind": "tanh"}) == (
+            {"kind": "tensor_grid", "n_x": 16, "n_v": 16},
+            {"kind": "tanh", "amplitude": 0.5, "width": 1.0})
+        assert resolved({"kind": "monte_carlo", "n": 7}, {"kind": "zero"}) == (
+            {"kind": "monte_carlo", "n": 7}, {"kind": "zero"})
+
+    def test_oracle_without_initial_runs_its_product_gaussian(self):
+        # the built-in f0 exp(-x**2/0.125 - v**2/0.125), written out in full;
+        # its centre stays at 0 on an off-centre box
+        data = {"mode": "oracle", "dim": 1, "lam": 1.0, "radius": 0.5, "dt": 0.1,
+                "t_final": 0.2, "oracle": {"x_min": -1.0, "x_max": 3.0, "v_max": 2.0}}
+        ib = validate_config(data)["initial"]
+        assert {k: ib[k] for k in ib if k != "sampling"} == {
+            "kind": "product_gaussian_truncated", "amplitude": 1.0,
+            "x_bounds": [[-1.0, 3.0]], "v_bounds": [[-2.0, 2.0]],
+            "x_centers": [[0.0]], "v_centers": [[0.0]], "x_sigma": 0.25, "v_sigma": 0.25}
+        spec = runner.initial_spec_from_config(validate_config(data))
+        x, v = np.meshgrid(np.linspace(-1.0, 3.0, 41), np.linspace(-2.0, 2.0, 33),
+                           indexing="ij")
+        assert np.array_equal(spec.density(x[..., None], v[..., None]),
+                              np.exp(-x ** 2 / 0.125 - v ** 2 / 0.125))
+
+    @pytest.mark.parametrize("kind, x_centers, v_centers", [
+        ("product_gaussian_truncated", [[0.5, -1.0]], [[0.0, 0.25]]),
+        ("two_bump", [[0.0, -1.5], [1.0, -0.5]], [[0.5, 0.75], [-0.5, -0.25]]),
+    ])
+    def test_gaussian_centres_default_to_the_box_means(self, kind, x_centers, v_centers):
+        data = minimal_kinetic(dim=2)
+        data["initial"].update(kind=kind, x_bounds=[[0.0, 1.0], [-2.0, 0.0]],
+                               v_bounds=[[-0.5, 0.5], [-0.25, 0.75]])
+        ib = validate_config(data)["initial"]
+        assert (ib["x_centers"], ib["v_centers"]) == (x_centers, v_centers)
 
 
 class TestSeeding:
@@ -206,11 +285,15 @@ class TestSeeding:
             assert np.array_equal(ra.random(5), rb.random(5))
 
     def test_streams_are_independent_and_seed_sensitive(self):
-        s1, s2, s3 = validate_config(minimal_kinetic(seed=1)).seed_streams()
-        assert not np.array_equal(s1.random(5), s2.random(5))
-        t1, _, _ = validate_config(minimal_kinetic(seed=2)).seed_streams()
-        u1, _, _ = validate_config(minimal_kinetic(seed=1)).seed_streams()
-        assert not np.array_equal(u1.random(5), t1.random(5))
+        s1 = validate_config(minimal_kinetic(seed=1)).seed_streams()[0]
+        t1 = validate_config(minimal_kinetic(seed=2)).seed_streams()[0]
+        assert not np.array_equal(s1.random(5), t1.random(5))
+        # the seed gave three streams, two of them unused; the one left draws
+        # as the first of those three did, so every config keeps its draws
+        for seed in (0, 1, 12345):
+            got = validate_config(minimal_kinetic(seed=seed)).seed_streams()[0].random(5)
+            child = np.random.SeedSequence(seed).spawn(3)[0]
+            assert np.array_equal(got, np.random.default_rng(child).random(5))
 
 
 class TestFormatting:
@@ -399,7 +482,9 @@ class TestCli:
         ({"v_sigma": 3e299},
          "config key initial/v_sigma: 3e+299 is too large, its square would pass the "
          "largest double"),
-    ], ids=[f"change{i}" for i in range(6)])
+        # the zero x_sigma**2 gave a divide warning and then the zero mass line
+        ({"x_sigma": 1e-200}, SIGMA_UNDERFLOWS),
+    ], ids=[f"change{i}" for i in range(7)])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_run_rejects_agents_drawn_from_zero_mass(self, tmp_path, capsys, command, change,
                                                      message):
@@ -432,6 +517,31 @@ class TestCli:
         assert captured.err == ("configuration error: the initial distribution has zero "
                                 "mass, so none of the 100 particles can be drawn\n")
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        # two coincident bumps of 1e308 sum to 2e308 at the centre
+        ({"amplitude": 1e308, "x_centers": [[0.0], [0.0]], "v_centers": [[0.0], [0.0]]},
+         "the initial distribution peaks past the largest double"),
+        ({"x_sigma": 1e-200}, SIGMA_UNDERFLOWS),
+    ], ids=["peak-overflows", "sigma-underflows"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_tensor_grid_f0_past_the_double_range_exits_2(self, tmp_path, command, change,
+                                                          message):
+        # in a fresh interpreter, outside the warnings-as-errors filter: numpy's
+        # overflow or divide warning would be a second stderr line, and the
+        # tensor grid took its density values past the largest double or to NaN
+        data = json.loads(Path(scenario_path("kinetic_two_bump.json")).read_text())
+        data["initial"].update(change)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(data))
+        args = ["--out", str(out)] if command == "run" else []
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "kinflock.cli", command, "--config",
+                               str(cfg), *args], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert (done.stdout, done.stderr) == ("", f"configuration error: {message}\n")
+        assert not out.exists()
 
     def test_run_draws_agents_from_a_bump_centred_outside_its_box(self, tmp_path):
         # the x centre is 12 x_sigma past the box: an envelope of the
@@ -535,7 +645,7 @@ class TestCli:
         cfg = validate_config(dict(data, seed=seed))
         state, _ = runner.sample_agents(cfg, cfg.seed_streams()[0])
         spec = runner.initial_spec_from_config(cfg)
-        spec.sampling = ("monte_carlo", cfg["n_agents"], None)
+        spec.sampling = ("monte_carlo", cfg["n_agents"])
         ens = sample_initial(spec, cfg["lam"], cfg["radius"], rng=cfg.seed_streams()[0])
         assert state.n == ens.n == 100
         assert np.array_equal(state.positions, ens.x) and np.array_equal(state.velocities, ens.v)

@@ -20,7 +20,8 @@ def unit_square_spec(n_x=32, n_v=32):
     return InitialDistributionSpec(
         kind="box_indicator", dim=1,
         x_bounds=[[0.0, 1.0]], v_bounds=[[0.0, 1.0]],
-        amplitude=1.0, sampling=("tensor_grid", n_x, n_v))
+        amplitude=1.0, sampling=("tensor_grid", n_x, n_v),
+        x_centers=None, v_centers=None, x_sigma=0.25, v_sigma=0.25)
 
 
 def two_particle_ensemble(lam=1.0, r=3.0):
@@ -64,11 +65,11 @@ class TestSampling:
     def test_two_bump_monte_carlo_moments(self):
         spec = InitialDistributionSpec(
             kind="two_bump", dim=1,
-            x_bounds=[[-2.0, 2.0]], v_bounds=[[-1.5, 1.5]],
+            x_bounds=[[-2.0, 2.0]], v_bounds=[[-1.5, 1.5]], amplitude=1.0,
             x_centers=[[-0.5], [0.5]], v_centers=[[0.5], [-0.5]],
             x_sigma=0.3, v_sigma=0.2,
-            sampling=("monte_carlo", 10_000, 7))
-        ens = sample_initial(spec, lam=1.0, radius=0.5)
+            sampling=("monte_carlo", 10_000))
+        ens = sample_initial(spec, lam=1.0, radius=0.5, rng=np.random.default_rng(7))
         assert ens.n == 10_000
         assert ens.total_mass == pytest.approx(spec.total_mass, rel=1e-12)
         # analytic mean velocity is 0 by the symmetry of the bumps; the
@@ -89,9 +90,10 @@ class TestSampling:
         # (x variance 0.066 for 3 bumps and 0.072 for 4 with an envelope of 2)
         spec = InitialDistributionSpec(
             kind="two_bump", dim=1, x_bounds=[[-1.5, 1.5]], v_bounds=[[-1.5, 1.5]],
+            amplitude=1.0, x_sigma=0.25, v_sigma=0.25,
             x_centers=np.zeros((n_bumps, 1)), v_centers=np.zeros((n_bumps, 1)),
-            sampling=("monte_carlo", 50_000, 3))
-        ens = sample_initial(spec, lam=1.0, radius=0.5)
+            sampling=("monte_carlo", 50_000))
+        ens = sample_initial(spec, lam=1.0, radius=0.5, rng=np.random.default_rng(3))
         # the box is 6 sigma wide on each side, so the variance is sigma**2
         # = 0.0625; the standard error of each sample variance is 4e-4
         assert ens.x.var() == pytest.approx(0.0625, abs=1.6e-3)
@@ -99,19 +101,20 @@ class TestSampling:
 
     def test_monte_carlo_draws_a_bump_centred_outside_its_box(self):
         # the envelope is the bump's largest value on the boxes, at x = 1
-        spec = replace(FAR_TAIL, sampling=("monte_carlo", 200, 1))
+        spec = replace(FAR_TAIL, sampling=("monte_carlo", 200))
         with time_limit(30):
-            ens = sample_initial(spec, lam=1.0, radius=0.5)
+            ens = sample_initial(spec, lam=1.0, radius=0.5, rng=np.random.default_rng(1))
         assert ens.n == 200 and (ens.mass == spec.total_mass / 200).all()
         assert (ens.x > 0.5).all()
 
     def test_monte_carlo_of_an_f0_without_a_computed_value_is_empty(self):
         # positive mass, but every value of f0 underflows to 0: no draw
         # could be accepted
-        spec = replace(PEAK_UNDERFLOWS, sampling=("monte_carlo", 50, 1))
+        spec = replace(PEAK_UNDERFLOWS, sampling=("monte_carlo", 50))
         assert spec.total_mass > 0 and spec.peak == 0.0
         with time_limit(30):
-            assert sample_initial(spec, lam=1.0, radius=0.5).n == 0
+            assert sample_initial(spec, lam=1.0, radius=0.5,
+                                  rng=np.random.default_rng(1)).n == 0
 
     def test_support_bound_from_bounds(self):
         spec = unit_square_spec()
@@ -134,6 +137,7 @@ def mesh_spec(kind, d):
     xc, vc = ([c[:d] for c in centres] or None for centres in CENTRES[kind])
     return InitialDistributionSpec(
         kind=kind, dim=d, amplitude=1.3, x_sigma=0.4, v_sigma=0.3,
+        sampling=("tensor_grid", 16, 16),
         x_bounds=[[-1.0, 2.0], [0.0, 1.5], [-0.5, 0.5]][:d],
         v_bounds=[[-1.0, 1.0], [-0.7, 0.3], [-2.0, 1.0]][:d],
         x_centers=xc, v_centers=vc)
@@ -168,8 +172,8 @@ class TestInitialMesh:
                              + [(1, None), (2, None)])
     def test_outer_product_mesh_matches_full_mesh(self, kind, d, n):
         # the x-cells and v-cells of `_cell_centres`, which tensor_grid
-        # samples, evaluated as an outer product; n=None is the spec's
-        # default tensor_grid of 16 cells per axis
+        # samples, evaluated as an outer product; n=None is mesh_spec's
+        # tensor_grid of 16 cells per axis
         spec = mesh_spec(kind, d)
         n = spec.sampling[1] if n is None else n
         (X, dx), (V, dv) = _cell_centres(spec.x_bounds, n), _cell_centres(spec.v_bounds, n)
@@ -210,11 +214,14 @@ class TestInitialMesh:
 # where a plain erf difference gives 0
 FAR_TAIL = InitialDistributionSpec(kind="product_gaussian_truncated", dim=1,
                                    x_bounds=[[-1.0, 1.0]], v_bounds=[[-1.0, 1.0]],
-                                   x_centers=[[4.0]], v_centers=[[0.0]])
+                                   amplitude=1.0, sampling=("tensor_grid", 16, 16),
+                                   x_centers=[[4.0]], v_centers=[[0.0]],
+                                   x_sigma=0.25, v_sigma=0.25)
 # the mass is 4e-45, but exp(-784) underflows, so every computed value is 0
 PEAK_UNDERFLOWS = InitialDistributionSpec(
     kind="product_gaussian_truncated", dim=2, amplitude=1e300, x_bounds=[[-1, 1], [-1, 1]],
-    v_bounds=[[-1, 1], [-1, 1]], x_centers=[[8.0, 8.0]], v_sigma=0.5)
+    v_bounds=[[-1, 1], [-1, 1]], sampling=("tensor_grid", 16, 16),
+    x_centers=[[8.0, 8.0]], v_centers=[[0.0, 0.0]], x_sigma=0.25, v_sigma=0.5)
 CLOSED_FORM_SPECS = [mesh_spec(kind, d) for kind in KINDS for d in (1, 2, 3)] + [FAR_TAIL]
 CLOSED_FORM_IDS = [f"{kind}-{d}" for kind in KINDS for d in (1, 2, 3)] + ["far-tail"]
 
@@ -275,7 +282,8 @@ class TestClosedForms:
         # such an f0 do not change
         rng = np.random.default_rng(n_bumps)
         spec = InitialDistributionSpec(
-            kind="two_bump", dim=2, amplitude=amplitude,
+            kind="two_bump", dim=2, amplitude=amplitude, x_sigma=0.25, v_sigma=0.25,
+            sampling=("tensor_grid", 16, 16),
             x_bounds=[[-1.0, 2.0], [0.0, 1.5]], v_bounds=[[-1.0, 1.0], [-0.7, 0.3]],
             x_centers=rng.uniform([-1.0, 0.0], [2.0, 1.5], (n_bumps, 2)),
             v_centers=rng.uniform([-1.0, -0.7], [1.0, 0.3], (n_bumps, 2)))
@@ -284,7 +292,9 @@ class TestClosedForms:
 
 def box_spec(amplitude, x_bounds=((0.0, 100.0),)):
     return InitialDistributionSpec(kind="box_indicator", dim=1, amplitude=amplitude,
-                                   x_bounds=x_bounds, v_bounds=[[0.0, 100.0]])
+                                   x_bounds=x_bounds, v_bounds=[[0.0, 100.0]],
+                                   sampling=("tensor_grid", 16, 16), x_centers=None,
+                                   v_centers=None, x_sigma=0.25, v_sigma=0.25)
 
 
 class TestHasMass:
@@ -296,8 +306,9 @@ class TestHasMass:
         (box_spec(1.0, x_bounds=[[0.5, 0.5]]), False),  # no cell volume
         # the bumps' exp underflows to 0 everywhere on the boxes
         (InitialDistributionSpec(kind="two_bump", dim=2, x_bounds=[[-1, 1], [-1, 1]],
-                                 v_bounds=[[-1, 1], [-1, 1]], x_centers=[[60.0, 0.0]],
-                                 v_centers=[[0.0, 0.0]]), False),
+                                 v_bounds=[[-1, 1], [-1, 1]], amplitude=1.0,
+                                 sampling=("tensor_grid", 16, 16), x_centers=[[60.0, 0.0]],
+                                 v_centers=[[0.0, 0.0]], x_sigma=0.25, v_sigma=0.25), False),
         # every value * cellvol underflows, but their sum does not
         (box_spec(5e-324), True),
         (PEAK_UNDERFLOWS, False),
