@@ -1,31 +1,24 @@
-"""Invariant checks and order parameters across solvers.
+"""Invariant checks and order parameters across solvers: pure functions of
+numbers and arrays, with no solver type in their signatures.
 
-Every check is a pure function returning a CheckResult with the measured
-value, the tolerance it was held to, and a pass flag; the report object
-aggregates per-snapshot time series plus the assertion outcomes and
-serializes to JSON/CSV.
+Every check returns a CheckResult with the measured value, the tolerance it
+was held to, and a pass flag; the report object aggregates per-snapshot
+records plus the assertion outcomes and serializes to JSON/CSV.
 
-The scalar checks (mass, speed support, grid sup bound, L^p law and L^p
-inequality) take the per-snapshot series a run records: times, masses,
-speed maxima, sup values and {p: norm per snapshot}.  The per-particle
-laws (pointwise growth, phase volume) take the snapshots themselves.
-
-The oracle helpers and `moments_at_points` are imported where they are
-called, so a run loads `oracle` only if it makes grids.
+Every check takes the per-snapshot series a run builds in its one pass over
+the snapshots: times, masses, speed maxima, sup values, {p: norm per
+snapshot}, and for the per-particle laws (pointwise growth, phase volume)
+each snapshot's `law_deviation`.  The norms and order parameters take the
+arrays of one snapshot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .phase import AgentState, Ensemble
-
-if TYPE_CHECKING:
-    from .oracle import PhaseGrid
 
 
 @dataclass
@@ -45,10 +38,6 @@ class DiagnosticsReport:
 
     def add_check(self, check: CheckResult):
         self.assertions.append(check)
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.assertions)
 
     def to_dict(self):
         return {
@@ -77,31 +66,26 @@ def check_support(speeds, m0, tol=1e-9, name="velocity_support_bound"):
     return CheckResult(name, peak, m0 + tol, peak <= m0 + tol)
 
 
-def check_density_growth(trajectory, tol=1e-12):
+def law_deviation(values, expected):
+    """One snapshot's reading of a per-particle law: the worst
+    |values - expected| / expected over the entries where expected > 0, or
+    0.0 if there are none."""
+    nz = expected > 0
+    return float((np.abs(values[nz] - expected[nz]) / expected[nz]).max(initial=0.0))
+
+
+def check_density_growth(deviations, tol=1e-12):
     """density_value(t) = density_value(0) * e^{lam*d*t} per particle,
-    exact by construction up to rounding."""
-    first = trajectory[0]
-    worst = 0.0
-    for snap in trajectory[1:]:
-        factor = np.exp(snap.lam * snap.dim * (snap.t - first.t))
-        expected = first.density_value * factor
-        nz = expected > 0
-        if np.any(nz):
-            rel = np.abs(snap.density_value[nz] - expected[nz]) / expected[nz]
-            worst = max(worst, float(rel.max()))
+    exact by construction up to rounding: the worst of a run's per-snapshot
+    `law_deviation`s of that law."""
+    worst = max([0.0, *deviations])
     return CheckResult("pointwise_growth_law", worst, tol, worst <= tol)
 
 
-def check_volume_law(trajectory, tol=1e-12):
-    """phase_volume(t)/phase_volume(0) = e^{-lam*d*t} per particle."""
-    first = trajectory[0]
-    worst = 0.0
-    for snap in trajectory[1:]:
-        factor = np.exp(-snap.lam * snap.dim * (snap.t - first.t))
-        expected = first.phase_volume * factor
-        if len(expected):
-            rel = np.abs(snap.phase_volume - expected) / expected
-            worst = max(worst, float(rel.max()))
+def check_volume_law(deviations, tol=1e-12):
+    """phase_volume(t)/phase_volume(0) = e^{-lam*d*t} per particle: the
+    worst of a run's per-snapshot `law_deviation`s of that law."""
+    worst = max([0.0, *deviations])
     return CheckResult("phase_volume_law", worst, tol, worst <= tol)
 
 
@@ -148,18 +132,24 @@ def check_lp_law(times, norms, p_list, lam, d=1, rel_tol=0.05, abs_tol=1e-3):
     return results
 
 
-def particle_lp_norm(ensemble: Ensemble, p):
-    """L^p estimate reconstructed from the flow-deformed partition:
-    (sum vol_i * f_i^p)^{1/p}."""
-    if ensemble.n == 0:
-        return 0.0
-    vol, f = ensemble.phase_volume, ensemble.density_value
+def lp_norm(f, p, integrate):
+    """integrate(f**p)**(1/p) for values f >= 0, where integrate sums its
+    argument against the cells' measure.  Where f**p overflows and the norm
+    reads inf, it is max f times the same of f / max f."""
     with np.errstate(over="ignore"):
-        norm = float((vol * f ** p).sum() ** (1.0 / p))
+        norm = float(integrate(f ** p) ** (1.0 / p))
     if norm == np.inf:  # f**p overflows long before the norm: scale by max f
         top = f.max()
-        norm = float(top * (vol * (f / top) ** p).sum() ** (1.0 / p))
+        norm = float(top * integrate((f / top) ** p) ** (1.0 / p))
     return norm
+
+
+def particle_lp_norm(vol, f, p):
+    """L^p estimate reconstructed from the flow-deformed partition of phase
+    volumes vol and density values f: (sum vol_i * f_i^p)^{1/p}."""
+    if len(f) == 0:
+        return 0.0
+    return lp_norm(f, p, lambda fp: (vol * fp).sum())
 
 
 def check_particle_lp_inequality(times, norms, p_list, lam, d, slack=1e-9):
@@ -178,40 +168,11 @@ def check_particle_lp_inequality(times, norms, p_list, lam, d, slack=1e-9):
     return results
 
 
-def pushforward_sum(ensemble: Ensemble, phi):
-    """sum_i w_i phi(x_i, v_i); the particle-side reading of the
-    measure-preservation identity."""
-    if ensemble.n == 0:
-        return 0.0
-    return float((ensemble.mass * phi(ensemble.x, ensemble.v)).sum())
-
-
-def check_pushforward(ens_final: Ensemble, grid_final: PhaseGrid, phis, rel_tol=0.02):
-    """Particle pushforward sums against oracle quadrature for matched
-    linear runs, one check per test function."""
-    from .oracle import quadrature_pushforward
-    results = []
-    for name, phi_p, phi_g in phis:
-        a = pushforward_sum(ens_final, phi_p)
-        b = quadrature_pushforward(grid_final, phi_g)
-        scale = max(abs(a), abs(b), 1e-12)
-        err = abs(a - b) / scale
-        results.append(CheckResult(f"pushforward_{name}", err, rel_tol, err <= rel_tol,
-                                   {"particle": a, "oracle": b}))
-    return results
-
-
-def flocking_metrics(obj):
+def flocking_metrics(x, v, w=None):
     """(velocity variance about the mean, velocity diameter, spatial
-    diameter); mass-weighted for ensembles, uniform for agent states."""
-    if isinstance(obj, AgentState):
-        v, x, w = obj.velocities, obj.positions, None
-    elif isinstance(obj, Ensemble):
-        v, x, w = obj.v, obj.x, obj.mass
-    else:
-        raise InvalidInputError(f"unsupported state type {type(obj)!r}")
-    n = len(v)
-    if n == 0:
+    diameter) of points x with velocities v, both (N, d): weighted by w,
+    or uniform where w is None or sums to 0."""
+    if len(v) == 0:
         return 0.0, 0.0, 0.0
     if w is None or w.sum() == 0:
         mean = v.mean(axis=0)
@@ -259,19 +220,3 @@ def _diameter(pts, chunk=512):
     for a in range(0, len(far), chunk):
         best = max(best, _max_d2(far[a:a + chunk], far))
     return float(np.sqrt(best))
-
-
-def meanfield_distance(agents: AgentState, kinetic: Ensemble, probe_points, r):
-    """L1-over-probe-grid distance between mass-normalized (rho_r, j_r)
-    moment fields of the empirical agent measure and the kinetic ensemble."""
-    from .kinetic import moments_at_points
-    probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    rho_a, j_a = moments_at_points(agents.positions, agents.velocities,
-                                   np.full(agents.n, 1.0 / max(agents.n, 1)), probe_points, r)
-    rho_k, j_k = moments_at_points(kinetic.x, kinetic.v, kinetic.mass, probe_points, r)
-    mk = kinetic.total_mass
-    if mk > 0:
-        rho_k = rho_k / mk
-        j_k = j_k / mk
-    diff = np.abs(rho_a - rho_k) + np.abs(j_a - j_k).sum(axis=1)
-    return float(diff.mean())

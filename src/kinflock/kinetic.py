@@ -97,9 +97,11 @@ class InitialDistributionSpec:
         return np.where(inside, vals, 0.0)
 
     def _bump(self, x, v, xc, vc):
-        """exp of the Gaussian exponent about (xc, vc) at points x, v (..., d)."""
-        return np.exp(-((x - xc) ** 2).sum(axis=-1) / (2 * self.x_sigma ** 2)
-                      - ((v - vc) ** 2).sum(axis=-1) / (2 * self.v_sigma ** 2))
+        """exp of the Gaussian exponent about (xc, vc) at points x, v (..., d).
+        A tiny sigma takes the exponent to -inf, whose exp is the right 0."""
+        with np.errstate(over="ignore"):
+            return np.exp(-((x - xc) ** 2).sum(axis=-1) / (2 * self.x_sigma ** 2)
+                          - ((v - vc) ** 2).sum(axis=-1) / (2 * self.v_sigma ** 2))
 
     @property
     def total_mass(self):

@@ -2,19 +2,16 @@
 (two-dimensional phase space) setting.
 
 This is the independent cross-check for the particle solver: each step
-traces the exact frozen-field characteristic backward from every cell
-center, `phase.exact_step` with a negative time step, interpolates
-bilinearly (monotone, max-principle preserving), and multiplies by the
-growth factor e^{lam*dt}.  `phase.march` gives each step its time.
+interpolates bilinearly (monotone, max-principle preserving) at the feet
+of the exact frozen-field characteristics traced backward from every cell
+center, `phase.exact_step` with a negative time step, and multiplies by
+the growth factor e^{lam*dt}.  `phase.march` gives each step its time.
 lam = 0 (pure transport) is admitted here as a sanity case only.
 
-The feet and their bilinear stencil (four corner indices and weights per
-cell) depend only on the nodes, lam, dt and the field values at the x
-nodes.  A step reuses the previous step's stencil when all of those are
-equal, so a run under a field that does not change with t (every field
-the config offers) traces its feet once; the field is still evaluated on
-every step.  Applying a stencil sums the four corners in a fixed order
-from zero, so a reused stencil gives the same bits as a fresh one.
+The field is E(x): it does not change with t.  So the feet and their
+bilinear stencil (four corner indices and weights per cell) are the same
+on every step, and `run_oracle` builds them once, before its first step.
+Applying a stencil sums the four corners in a fixed order from zero.
 """
 
 from __future__ import annotations
@@ -23,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import lp_norm
 from .errors import InvalidInputError, ResolutionError
 from .phase import exact_step, march
-from .spatial import neighborhood_sums
 
 
 @dataclass
@@ -114,46 +111,34 @@ def _apply_stencil(stencil, values):
     return out
 
 
-def bilinear_sample(grid: PhaseGrid, xq, vq):
-    """Bilinear interpolation of grid.values at query points, zero outside
-    the cell-center lattice."""
-    out = _apply_stencil(_bilinear_stencil(grid, xq, vq), grid.values)
-    return out.reshape(np.shape(xq))
-
-
-# (key, stencil) of the last step: node arrays, lam, dt and the field
-# values at the x nodes, compared by value, so a field that changes with t
-# gets a new stencil and a run under a fixed field builds one.
-_last_stencil = None
-
-
-def semi_lagrangian_step(grid: PhaseGrid, E, dt, boundary_tol=1e-6):
-    """One backward-characteristic step under the spatial field E(t, x).
-
-    E is a callable (t, x_array) -> array, evaluated on every step.  Feet
-    landing outside the grid contribute zero; if a non-negligible fraction
-    of the solution sits on the boundary ring, the resolution is declared
-    insufficient.
-    """
-    global _last_stencil
+def backward_stencil(grid: PhaseGrid, E, dt):
+    """The `_bilinear_stencil` of the feet of the backward characteristics
+    of length dt from every cell center under the spatial field E, a
+    callable x_array -> array evaluated once at the x nodes.  The feet
+    depend only on the nodes, lam, dt and E, so one stencil serves every
+    step of a run."""
     if not (dt > 0):
         raise InvalidInputError("dt must be positive")
-    Ex = np.asarray(E(grid.t, grid.x_nodes), dtype=float)
+    Ex = np.asarray(E(grid.x_nodes), dtype=float)
     if Ex.shape != grid.x_nodes.shape:
         raise InvalidInputError("field evaluator must return one value per x node")
-    lam = grid.lam
-    key = (grid.x_nodes.tobytes(), grid.v_nodes.tobytes(), float(lam), float(dt),
-           Ex.tobytes())
-    if _last_stencil is not None and _last_stencil[0] == key:
-        stencil = _last_stencil[1]
+    X, V = np.meshgrid(grid.x_nodes, grid.v_nodes, indexing="ij")
+    if grid.lam == 0.0:
+        x_back, v_back = X - V * dt, V
     else:
-        X, V = np.meshgrid(grid.x_nodes, grid.v_nodes, indexing="ij")
-        if lam == 0.0:
-            x_back, v_back = X - V * dt, V
-        else:
-            x_back, v_back = exact_step(X, V, Ex[:, None], lam, -dt)
-        stencil = _bilinear_stencil(grid, x_back, v_back)
-        _last_stencil = (key, stencil)
+        x_back, v_back = exact_step(X, V, Ex[:, None], grid.lam, -dt)
+    return _bilinear_stencil(grid, x_back, v_back)
+
+
+def semi_lagrangian_step(grid: PhaseGrid, stencil, dt, boundary_tol=1e-6):
+    """One backward-characteristic step of length dt on the
+    `backward_stencil` of the grid's nodes, lam and dt.
+
+    Feet landing outside the grid contribute zero; if a non-negligible
+    fraction of the solution sits on the boundary ring, the resolution is
+    declared insufficient.
+    """
+    lam = grid.lam
     factor = 1.0 if lam == 0.0 else np.exp(lam * dt)  # e^{lam*d*dt} with d = 1
     new_vals = factor * _apply_stencil(stencil, grid.values).reshape(grid.values.shape)
     new_grid = PhaseGrid(grid.x_nodes, grid.v_nodes, new_vals, grid.t + dt, lam)
@@ -168,9 +153,12 @@ def semi_lagrangian_step(grid: PhaseGrid, E, dt, boundary_tol=1e-6):
 
 
 def run_oracle(grid0: PhaseGrid, E, T, dt, snapshot_stride=1):
-    """Step the grid to time T on `march`'s clock, collecting snapshots."""
+    """Step the grid to time T on `march`'s clock under the field E(x),
+    collecting snapshots; the feet and their stencil are traced once."""
+    stencil = backward_stencil(grid0, E, dt)
+
     def step(grid, k, t):
-        grid = semi_lagrangian_step(grid, E, dt)
+        grid = semi_lagrangian_step(grid, stencil, dt)
         grid.t = t
         return grid
 
@@ -178,23 +166,8 @@ def run_oracle(grid0: PhaseGrid, E, T, dt, snapshot_stride=1):
 
 
 def oracle_lp_norm(grid: PhaseGrid, p):
-    """Midpoint-quadrature L^p norm of the grid density."""
+    """Midpoint-quadrature L^p norm of the grid density, finite where the
+    values to the power p overflow (`diagnostics.lp_norm`)."""
     if p < 1:
         raise InvalidInputError("p must be >= 1")
-    return float((np.power(grid.values, p).sum() * grid.cell_area) ** (1.0 / p))
-
-
-def oracle_moments(grid: PhaseGrid, centers, r):
-    """(rho_r, j_r) of the grid density at spatial probe points: neighbourhood
-    sums over the x cells in the strict radius-r ball, quadrature in v."""
-    centers = np.asarray(centers, dtype=float).reshape(-1)
-    rho_x = grid.values.sum(axis=1) * grid.dv  # spatial density per x cell
-    j_x = (grid.values * grid.v_nodes[None, :]).sum(axis=1) * grid.dv
-    sums = neighborhood_sums(grid.x_nodes, centers, r, np.column_stack([rho_x, j_x]))
-    return sums[:, 0] * grid.dx, sums[:, 1] * grid.dx
-
-
-def quadrature_pushforward(grid: PhaseGrid, phi):
-    """Quadrature of f(t) * phi over the phase grid."""
-    X, V = np.meshgrid(grid.x_nodes, grid.v_nodes, indexing="ij")
-    return float((grid.values * phi(X, V)).sum() * grid.cell_area)
+    return lp_norm(grid.values, p, lambda fp: fp.sum() * grid.cell_area)

@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-MASS_IDENTITY_RTOL = 1e-12
-
 
 def _as_points(arr, dim, name):
     a = np.asarray(arr, dtype=float)
@@ -183,8 +181,3 @@ class Ensemble:
         out.__dict__.update(self.__dict__, t=t, x=x, v=v)
         return out
 
-    def check_mass_identity(self):
-        """mass == density_value * phase_volume up to relative 1e-12."""
-        prod = self.density_value * self.phase_volume
-        scale = np.maximum(np.abs(self.mass), 1e-300)
-        return bool(np.all(np.abs(prod - self.mass) <= MASS_IDENTITY_RTOL * scale))

@@ -45,10 +45,10 @@ def initial_spec_from_config(cfg: ScenarioConfig) -> InitialDistributionSpec:
 def oracle_field_from_config(cfg: ScenarioConfig):
     fc = cfg["oracle"]["field"]
     if fc["kind"] == "zero":
-        return lambda t, x: np.zeros_like(np.asarray(x, float))
+        return lambda x: np.zeros_like(np.asarray(x, float))
     if fc["kind"] == "constant":
-        return lambda t, x: np.full_like(np.asarray(x, float), fc["value"])
-    return lambda t, x: fc["amplitude"] * np.tanh(np.asarray(x, float) / fc["width"])
+        return lambda x: np.full_like(np.asarray(x, float), fc["value"])
+    return lambda x: fc["amplitude"] * np.tanh(np.asarray(x, float) / fc["width"])
 
 
 def drawable_spec(cfg: ScenarioConfig) -> InitialDistributionSpec:
@@ -72,24 +72,6 @@ def sample_agents(cfg: ScenarioConfig, rng):
     spec = drawable_spec(cfg)
     x, v = rejection_sample(spec, cfg["n_agents"], rng)
     return AgentState(0.0, cfg["dim"], x, v), spec
-
-
-def _ensemble_record(ens, sup0):
-    """The per-snapshot scalars of a kinetic run up to its L^p norms; sup0
-    is the initial max density value."""
-    var, vdiam, xdiam = diag.flocking_metrics(ens)
-    rec = {
-        "t": ens.t,
-        "total_mass": ens.total_mass,
-        "support_radius": ens.max_speed,
-        "velocity_variance": var,
-        "velocity_diameter": vdiam,
-        "spatial_diameter": xdiam,
-    }
-    if sup0 > 0:
-        bound = sup0 * np.exp(ens.lam * ens.dim * ens.t)
-        rec["max_density_bound_ratio"] = float(ens.density_value.max()) / bound
-    return rec
 
 
 def _series(report, key):
@@ -120,27 +102,40 @@ def run_kinetic(cfg: ScenarioConfig, out_dir):
     ens0 = sample_ensemble(cfg)
     result = run_self_consistent(ens0, cfg["t_final"], cfg["dt"], cfg["delta"],
                                  snapshot_stride=cfg["snapshot_stride"])
-    snaps = result.snapshots
     dcfg = cfg["diagnostics"]
-    # the records and the checks share one L^p norm per snapshot and distinct p
-    norms = {p: [diag.particle_lp_norm(ens, p) for ens in snaps]
-             for p in dict.fromkeys((1, 2, *dcfg["lp_exponents"]))}
-    sup0 = float(ens0.density_value.max()) if ens0.n else 0.0
-    for i, ens in enumerate(snaps):
-        report.records.append(_ensemble_record(ens, sup0)
-                              | {f"lp_norm_p{p}": norms[p][i] for p in (1, 2)})
+    # beside the records, the series only the checks read: one L^p norm per
+    # snapshot and distinct p, and each snapshot's deviation from the laws
+    norms = {p: [] for p in dict.fromkeys((1, 2, *dcfg["lp_exponents"]))}
+    growth, volume = [], []
+    f0, vol0 = ens0.density_value, ens0.phase_volume
+    sup0 = float(f0.max()) if ens0.n else 0.0
+    for ens in result.snapshots:
+        f, vol = ens.density_value, ens.phase_volume
+        g = ens.lam * ens.dim * (ens.t - ens0.t)
+        factor = np.exp(g)
+        growth.append(diag.law_deviation(f, f0 * factor))
+        volume.append(diag.law_deviation(vol, vol0 * np.exp(-g)))
+        for p, series in norms.items():
+            series.append(diag.particle_lp_norm(vol, f, p))
+        var, vdiam, xdiam = diag.flocking_metrics(ens.x, ens.v, ens.mass)
+        rec = {"t": ens.t, "total_mass": ens.total_mass, "support_radius": ens.max_speed,
+               "velocity_variance": var, "velocity_diameter": vdiam,
+               "spatial_diameter": xdiam}
+        if sup0 > 0:  # ens0.t = 0: factor is e^{lam*d*t}
+            rec["max_density_bound_ratio"] = float(f.max()) / (sup0 * factor)
+        report.records.append(rec | {f"lp_norm_p{p}": norms[p][-1] for p in (1, 2)})
     if dcfg["enabled"]:
         report.add_check(diag.check_mass(_series(report, "total_mass"), tol=dcfg["mass_tol"]))
         report.add_check(diag.check_support(_series(report, "support_radius"),
                                             ens0.initial_support_bound,
                                             tol=dcfg["support_tol"]))
-        report.add_check(diag.check_density_growth(snaps))
-        report.add_check(diag.check_volume_law(snaps))
+        report.add_check(diag.check_density_growth(growth))
+        report.add_check(diag.check_volume_law(volume))
         for c in diag.check_particle_lp_inequality(_series(report, "t"), norms,
                                                    dcfg["lp_exponents"], ens0.lam, ens0.dim):
             report.add_check(c)
     kio.write_particle_snapshots(os.path.join(out_dir, "particles.csv"),
-                                 snaps, result.snapshot_steps)
+                                 result.snapshots, result.snapshot_steps)
     return report
 
 
@@ -155,14 +150,16 @@ def run_agents(cfg: ScenarioConfig, out_dir):
         return AgentState(t, s.dim, *exact_step(x, v, mean_field(x, v, ones, x, r), lam, dt))
 
     snaps, steps = march(state, step, t_final, dt, stride)
+    speeds = []
     for st in snaps:
-        var, vdiam, xdiam = diag.flocking_metrics(st)
+        x, v = st.positions, st.velocities
+        var, vdiam, xdiam = diag.flocking_metrics(x, v)
         report.records.append({"t": st.t, "velocity_variance": var,
                                "velocity_diameter": vdiam,
                                "spatial_diameter": xdiam})
+        speeds.append(float(np.sqrt((v ** 2).sum(axis=1)).max(initial=0.0)))
     dcfg = cfg["diagnostics"]
     if dcfg["enabled"] and state.n:
-        speeds = [float(np.sqrt((s.velocities ** 2).sum(axis=1)).max()) for s in snaps]
         report.add_check(diag.check_support(speeds, speeds[0], dcfg["support_tol"],
                                             "agent_speed_max_principle"))
     kio.write_agent_snapshots(os.path.join(out_dir, "agents.csv"), snaps, steps)
@@ -182,13 +179,13 @@ def run_oracle_mode(cfg: ScenarioConfig, out_dir):
     snaps, steps = run_oracle(grid0, field, cfg["t_final"], cfg["dt"],
                               snapshot_stride=cfg["snapshot_stride"])
     dcfg = cfg["diagnostics"]
-    norms = {p: [oracle_lp_norm(g, p) for g in snaps] for p in dict.fromkeys(dcfg["lp_exponents"])}
-    for i, g in enumerate(snaps):
-        rec = {"t": g.t, "total_mass": g.total_mass(),
-               "sup_value": float(g.values.max()) if g.values.size else 0.0}
-        for p in dcfg["lp_exponents"]:
-            rec[f"lp_norm_p{p}"] = norms[p][i]
-        report.records.append(rec)
+    norms = {p: [] for p in dict.fromkeys(dcfg["lp_exponents"])}
+    for g in snaps:
+        for p, series in norms.items():
+            series.append(oracle_lp_norm(g, p))
+        report.records.append({"t": g.t, "total_mass": g.total_mass(),
+                               "sup_value": float(g.values.max()) if g.values.size else 0.0}
+                              | {f"lp_norm_p{p}": norms[p][-1] for p in dcfg["lp_exponents"]})
     if dcfg["enabled"]:
         mass_tol = max(dcfg["mass_tol"], 1e-3)  # grid quadrature tolerance
         times = _series(report, "t")

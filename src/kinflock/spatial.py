@@ -41,10 +41,10 @@ def neighborhood_sums(points, centers, r, weights):
 
     points is (n, d), or (n,) in 1D; centers is (m, d), or (m,) in 1D;
     weights is (n, k), or (n,) for k = 1; all finite; returns (m, k).  Each
-    column of S[i] is the exact sum over the neighbours
-    brute_force_radius(points, centers[i], r), rounded once to
-    nearest-even: math.fsum's value, with +0.0 for a zero sum and +-inf
-    (and numpy's overflow warning) for a sum beyond the double range.  So
+    column of S[i] is the exact sum over the neighbours j with
+    sum((points[j] - centers[i])**2) < r*r, rounded once to nearest-even:
+    math.fsum's value, with +0.0 for a zero sum and +-inf (and numpy's
+    overflow warning) for a sum beyond the double range.  So
     it depends on the neighbour set alone, not on the order of the points,
     PAIR_BLOCK or the number of BLAS threads.
     """
@@ -151,7 +151,7 @@ def _block_sums(points, centers, r, parts):
             rows = order[lo:min(lo + step, b)]
             d2 = np.subtract.outer(centers[rows, 0], pc[:, 0])
             d2 *= d2
-            for axis in range(1, points.shape[1]):  # added in brute_force_radius's order
+            for axis in range(1, points.shape[1]):  # added axis by axis, in axis order
                 diff = np.subtract.outer(centers[rows, axis], pc[:, axis])
                 diff *= diff
                 d2 += diff
@@ -159,14 +159,3 @@ def _block_sums(points, centers, r, parts):
             total[rows] = d2 @ wc
     return total.reshape(len(centers), n_limbs, k).transpose(1, 0, 2)
 
-
-def brute_force_radius(positions, center, r):
-    """Reference O(N) scan used by the test oracles."""
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim == 1:
-        positions = positions.reshape(-1, 1)
-    if len(positions) == 0:
-        return np.empty(0, dtype=np.int64)
-    center = np.asarray(center, dtype=float).reshape(-1)
-    d2 = ((positions - center) ** 2).sum(axis=1)
-    return np.nonzero(d2 < r * r)[0].astype(np.int64)

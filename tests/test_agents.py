@@ -10,7 +10,7 @@ from kinflock.cli import main
 from kinflock.config import validate_config
 from kinflock.kinetic import mean_field, run_self_consistent
 from kinflock.phase import AgentState, Ensemble, exact_step, march
-from kinflock.spatial import brute_force_radius
+from measures import brute_force_radius
 
 
 def make_state(x, v, dim=1):

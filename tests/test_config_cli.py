@@ -564,6 +564,30 @@ class TestCli:
         assert len(x0) == 20 and (x0 > 0.5).all() and (x0 <= 1.0).all()
 
     @pytest.mark.parametrize("scenario, change", [
+        ("oracle_l2.json", {"amplitude": 1e80}),
+        ("oracle_l2.json", {"amplitude": 1e300}),
+        ("kinetic_two_bump.json", {"x_sigma": 1e-155}),
+    ], ids=["oracle-amplitude-1e80", "oracle-amplitude-1e300", "sigma-1e-155"])
+    def test_extreme_f0_scales_run_without_a_numpy_warning(self, tmp_path, scenario, change):
+        # in a fresh interpreter, outside the warnings-as-errors filter: the
+        # grid values to the power 4 overflow, so the oracle's L^p norm
+        # rescales by the largest value; a sigma of 1e-155 takes the Gaussian
+        # exponent to -inf, whose exp is the right 0.  numpy warned of both.
+        data = json.loads(Path(scenario_path(scenario)).read_text())
+        data["initial"].update(change)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        src = str(Path(cli.__file__).parents[1])
+        runs = [subprocess.run([sys.executable, "-m", "kinflock.cli", *args, "--config", str(cfg)],
+                               env=dict(os.environ, PYTHONPATH=src),
+                               capture_output=True, text=True, timeout=60)
+                for args in (["validate"], ["run", "--out", str(tmp_path / "out")])]
+        assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
+        assert runs[0].stdout == "config is valid\n"
+        lines = runs[1].stdout.splitlines()
+        assert lines and all(line.startswith("[PASS] ") for line in lines)
+
+    @pytest.mark.parametrize("scenario, change", [
         ("agents_cluster.json", lambda d: d["initial"].update(amplitude=0)),
         ("two_particle_symmetric.json", lambda d: d.update(dt=1.0, t_final=800.0)),
     ], ids=["agents-zero-mass", "horizon"])
@@ -904,9 +928,9 @@ def test_kinetic_run_computes_each_lp_norm_once(tmp_path, monkeypatch):
     # share one norm per snapshot and p
     calls = []
 
-    def counted(ens, p, real=diagnostics.particle_lp_norm):
+    def counted(vol, f, p, real=diagnostics.particle_lp_norm):
         calls.append(p)
-        return real(ens, p)
+        return real(vol, f, p)
 
     monkeypatch.setattr(diagnostics, "particle_lp_norm", counted)
     out = tmp_path / "out"

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from kinflock import limbs, spatial
 from kinflock.errors import InvalidInputError
-from kinflock.spatial import brute_force_radius, neighborhood_sums
+from kinflock.spatial import neighborhood_sums
+from measures import brute_force_radius
 
 
 def neighbour_sets(points, centers, r):
