@@ -1,14 +1,11 @@
 """Kinetic and agent-based flocking solvers with cut-off interaction.
 
-`import kinflock` loads no numpy: the state classes below are imported from
+`import kinflock` loads no numpy: the state class below is imported from
 `kinflock.phase` on first access, so `kinflock.cli` can choose the BLAS
 thread count before numpy starts.
 """
 
-__all__ = [
-    "AgentState",
-    "Ensemble",
-]
+__all__ = ["Ensemble"]
 
 __version__ = "0.1.0"
 

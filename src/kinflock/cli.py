@@ -4,7 +4,7 @@ Subcommands:
   run           execute a scenario config; exit 0 iff all assertions pass
   validate      check a config file against the schema and semantic rules,
                 and its initial state as `run` does before its first step:
-                the horizon rule, or that its agents or particles can be drawn
+                that its agents or particles can be drawn, and the horizon rule
   diff-reports  compare two diagnostics.json files
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error,
@@ -39,7 +39,7 @@ gc.disable()
 try:
     from .config import load_config
     from .errors import ConfigError, KinflockError
-    from .runner import drawable_spec, run, sample_ensemble
+    from .runner import run, sample_ensemble
     gc.freeze()
 finally:
     if _collecting:
@@ -79,10 +79,8 @@ def _cmd_run(args):
 def _cmd_validate(args):
     try:
         cfg = load_config(args.config)
-        if cfg["mode"] in ("kinetic", "picard"):
+        if cfg["mode"] != "oracle":
             sample_ensemble(cfg)
-        elif cfg["mode"] == "agents":
-            drawable_spec(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

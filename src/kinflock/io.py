@@ -270,23 +270,14 @@ def _stacked(batch, columns):
 
 
 def write_particle_snapshots(path, snapshots, steps):
-    """Snapshot CSV: step,t,id,x0..,v0..,mass,density_value,phase_volume."""
+    """Snapshot CSV: step,t,id,x0..,v0.., then mass,density_value,phase_volume
+    if the ensembles carry density (agents do not)."""
     dim = snapshots[0].dim if snapshots else 1
-    header = (["step", "t", "id"]
-              + [f"x{k}" for k in range(dim)]
-              + [f"v{k}" for k in range(dim)]
-              + ["mass", "density_value", "phase_volume"])
+    density = not snapshots or snapshots[0].density0 is not None
+    header = (["step", "t", "id"] + [f"{c}{k}" for c in "xv" for k in range(dim)]
+              + ["mass", "density_value", "phase_volume"] * density)
     _write_csv(path, header, _snapshot_blocks(steps, snapshots, lambda e: [
-        *e.x.T, *e.v.T, e.mass, e.density_value, e.phase_volume]))
-
-
-def write_agent_snapshots(path, snapshots, steps):
-    dim = snapshots[0].dim if snapshots else 1
-    header = (["step", "t", "id"]
-              + [f"x{k}" for k in range(dim)]
-              + [f"v{k}" for k in range(dim)])
-    _write_csv(path, header, _snapshot_blocks(steps, snapshots, lambda s: [
-        *s.positions.T, *s.velocities.T]))
+        *e.x.T, *e.v.T, *((e.mass, e.density_value, e.phase_volume) if density else ())]))
 
 
 def _mesh_blocks(outer, inner, values):

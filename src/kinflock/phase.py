@@ -7,13 +7,12 @@ product density_value * phase_volume equals the (constant) mass: both are
 the values the ensemble was built with, times and over the one growth
 factor e^{lam*dim*(t - t0)}, computed when they are read.  The horizon
 rule (`Ensemble.reaches`) marks where that factor leaves the double range.
-Every solver takes its step count and times from `march`, and every
-characteristic step (particle, grid or agent) is `exact_step`.
+Agents are an Ensemble of unit masses that carries no density, and so has
+no horizon.  Every solver takes its step count and times from `march`, and
+every characteristic step (particle or grid) is `exact_step`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,28 +61,6 @@ def march(state, step, T, dt, stride):
     return snapshots, steps
 
 
-@dataclass
-class AgentState:
-    """Positions and velocities of N discrete agents."""
-
-    t: float
-    dim: int
-    positions: np.ndarray  # (N, dim)
-    velocities: np.ndarray  # (N, dim)
-
-    def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise InvalidInputError(f"dim must be 1, 2 or 3, got {self.dim}")
-        self.positions = _as_points(self.positions, self.dim, "positions")
-        self.velocities = _as_points(self.velocities, self.dim, "velocities")
-        if len(self.positions) != len(self.velocities):
-            raise InvalidInputError("positions and velocities must have equal length")
-
-    @property
-    def n(self):
-        return len(self.positions)
-
-
 class Ensemble:
     """Weighted-particle discretization of a phase-space density.
 
@@ -93,10 +70,12 @@ class Ensemble:
     (density0, volume0) and the time t0 it was built at; at time t they
     read density0 * e^g and volume0 / e^g with g = lam*dim*(t - t0), the
     exact growth along every characteristic.  mass, density0 and volume0
-    are read-only and shared by every ensemble `stepped` returns.
+    are read-only and shared by every ensemble `stepped` returns.  An
+    ensemble built without density values and phase volumes, the agents'
+    unit masses, keeps None for both and has no horizon.
     """
 
-    def __init__(self, t, dim, lam, radius, x, v, mass, density_value, phase_volume,
+    def __init__(self, t, dim, lam, radius, x, v, mass, density_value=None, phase_volume=None,
                  initial_support_bound=0.0):
         if not (lam > 0):
             raise InvalidInputError("lam must be positive")
@@ -106,9 +85,11 @@ class Ensemble:
         self.initial_support_bound = initial_support_bound
         self.x = _as_points(x, dim, "x")
         self.v = _as_points(v, dim, "v")
-        arrays = {}
-        for name, a in (("mass", mass), ("density_value", density_value),
-                        ("phase_volume", phase_volume)):
+        self.density0 = self.volume0 = None
+        given = [("mass", mass)]
+        if density_value is not None or phase_volume is not None:
+            given += [("density_value", density_value), ("phase_volume", phase_volume)]
+        for (name, a), attr in zip(given, ("mass", "density0", "volume0")):
             # a view, so that making it read-only leaves the caller's array as it is
             a = np.asarray(a, dtype=float).reshape(-1).view()
             if len(a) != len(self.x):
@@ -116,16 +97,18 @@ class Ensemble:
             if not np.all(np.isfinite(a)):
                 raise InvalidInputError(f"{name}: non-finite entries")
             a.flags.writeable = False
-            arrays[name] = a
-        self.mass, self.density0, self.volume0 = arrays.values()
-        if np.any(self.mass < 0) or np.any(self.density0 < 0):
-            raise InvalidInputError("mass and density_value must be non-negative")
-        if np.any(self.volume0 <= 0):
-            raise InvalidInputError("phase_volume must be strictly positive")
-        # the extremes the horizon rule tests; an empty ensemble only
-        # needs e^g itself to be finite
-        self._density_max = float(self.density0.max(initial=0.0))
-        self._volume_min = float(self.volume0.min(initial=np.inf))
+            setattr(self, attr, a)
+        if np.any(self.mass < 0):
+            raise InvalidInputError("mass must be non-negative")
+        if self.density0 is not None:
+            if np.any(self.density0 < 0):
+                raise InvalidInputError("density_value must be non-negative")
+            if np.any(self.volume0 <= 0):
+                raise InvalidInputError("phase_volume must be strictly positive")
+            # the extremes the horizon rule tests; an empty ensemble only
+            # needs e^g itself to be finite
+            self._density_max = float(self.density0.max(initial=0.0))
+            self._volume_min = float(self.volume0.min(initial=np.inf))
 
     @property
     def n(self):
@@ -137,10 +120,8 @@ class Ensemble:
 
     @property
     def max_speed(self):
-        """Current velocity support radius M(t)."""
-        if self.n == 0:
-            return 0.0
-        return float(np.sqrt((self.v ** 2).sum(axis=1)).max())
+        """Current velocity support radius M(t), 0 without particles."""
+        return float(np.sqrt((self.v ** 2).sum(axis=1)).max(initial=0.0))
 
     def growth(self, t):
         """e^{lam*dim*(t - t0)}: the factor by which density values have
@@ -160,7 +141,9 @@ class Ensemble:
         a finite double and every phase volume still positive.  Past that
         point a density value overflows to inf or a phase volume rounds to
         0.  The growth only increases with t, so the rule at a run's last
-        time holds at every earlier step."""
+        time holds at every earlier step.  Without density it always holds."""
+        if self.density0 is None:
+            return True
         with np.errstate(over="ignore", invalid="ignore"):
             grow = self.growth(t)
             return bool(self._density_max * grow < np.inf and self._volume_min / grow > 0)

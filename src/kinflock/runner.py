@@ -9,8 +9,8 @@ exit codes by the CLI.
 A run loads only the code its mode executes: oracle and picard runs import
 their solver module when they start, and the seed streams, with them
 numpy.random, are created only by sampling that draws.  Agents are unit
-masses that take the exact frozen-field step toward `kinetic.mean_field`,
-so their speed check, like the kinetic support check, holds at any dt.
+masses with no density, stepped by `run_self_consistent` at delta = 0, so
+their speed check, like the kinetic support check, holds at any dt.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from . import diagnostics as diag
 from . import io as kio
 from .config import ScenarioConfig
 from .errors import ConfigError
-from .kinetic import (InitialDistributionSpec, mean_field, rejection_sample, run_linear,
+from .kinetic import (InitialDistributionSpec, rejection_sample, run_linear,
                       run_self_consistent, sample_initial)
-from .phase import AgentState, exact_step, march
+from .phase import Ensemble
 
 
 def initial_spec_from_config(cfg: ScenarioConfig) -> InitialDistributionSpec:
@@ -68,10 +68,12 @@ def drawable_spec(cfg: ScenarioConfig) -> InitialDistributionSpec:
 
 
 def sample_agents(cfg: ScenarioConfig, rng):
-    """Draw agents from the initial phase-space density."""
+    """The agents drawn from the initial phase-space density: an Ensemble
+    of unit masses with no density, whose support bound is f0's."""
     spec = drawable_spec(cfg)
     x, v = rejection_sample(spec, cfg["n_agents"], rng)
-    return AgentState(0.0, cfg["dim"], x, v), spec
+    return Ensemble(0.0, cfg["dim"], cfg["lam"], cfg["radius"], x, v, np.ones(len(x)),
+                    initial_support_bound=spec.support_bound)
 
 
 def _series(report, key):
@@ -80,13 +82,22 @@ def _series(report, key):
 
 
 def sample_ensemble(cfg: ScenarioConfig):
-    """The initial ensemble of a kinetic or Picard run; the seed streams
-    are created only for monte_carlo sampling, the one kind that draws.
-    A t_final past the ensemble's horizon rule is a configuration error
+    """The initial ensemble of a kinetic, agents or Picard run; the seed
+    streams are created only for agents and monte_carlo sampling, the kinds
+    that draw.  A tensor_grid f0 with mass that keeps no particle, and a
+    t_final past the ensemble's horizon rule, are configuration errors
     here, before the first step."""
+    if cfg["mode"] == "agents":
+        return sample_agents(cfg, cfg.seed_streams()[0])  # no horizon
     spec = drawable_spec(cfg)
     rng = cfg.seed_streams()[0] if spec.sampling[0] == "monte_carlo" else None
     ens = sample_initial(spec, cfg["lam"], cfg["radius"], rng=rng)
+    # every cell centre can miss an f0 narrower than a cell; particles
+    # weighted by cell integrals of f0, not centre values, would make this rare
+    if ens.n == 0 and spec.sampling[0] == "tensor_grid" and spec.total_mass > 0:
+        raise ConfigError("the initial distribution has mass but is 0 at every "
+                          "tensor_grid cell centre, so no particle is kept: "
+                          "refine sampling n_x or n_v")
     t_final, dt = cfg["t_final"], cfg["dt"]
     # the last step of `march`, or the last Picard time node t_final
     if not ens.reaches(max(t_final, round(t_final / dt) * dt)):
@@ -141,28 +152,21 @@ def run_kinetic(cfg: ScenarioConfig, out_dir):
 
 def run_agents(cfg: ScenarioConfig, out_dir):
     report = diag.DiagnosticsReport(metadata=_metadata(cfg, "agents"))
-    state, _ = sample_agents(cfg, cfg.seed_streams()[0])
-    lam, r, ones = cfg["lam"], cfg["radius"], np.ones(state.n)
-    t_final, dt, stride = cfg["t_final"], cfg["dt"], cfg["snapshot_stride"]
-
-    def step(s, k, t):
-        x, v = s.positions, s.velocities
-        return AgentState(t, s.dim, *exact_step(x, v, mean_field(x, v, ones, x, r), lam, dt))
-
-    snaps, steps = march(state, step, t_final, dt, stride)
-    speeds = []
-    for st in snaps:
-        x, v = st.positions, st.velocities
-        var, vdiam, xdiam = diag.flocking_metrics(x, v)
-        report.records.append({"t": st.t, "velocity_variance": var,
+    ens0 = sample_ensemble(cfg)
+    result = run_self_consistent(ens0, cfg["t_final"], cfg["dt"], 0.0,
+                                 snapshot_stride=cfg["snapshot_stride"])
+    for ens in result.snapshots:
+        var, vdiam, xdiam = diag.flocking_metrics(ens.x, ens.v)
+        report.records.append({"t": ens.t, "velocity_variance": var,
                                "velocity_diameter": vdiam,
                                "spatial_diameter": xdiam})
-        speeds.append(float(np.sqrt((v ** 2).sum(axis=1)).max(initial=0.0)))
     dcfg = cfg["diagnostics"]
-    if dcfg["enabled"] and state.n:
+    if dcfg["enabled"] and ens0.n:
+        speeds = [ens.max_speed for ens in result.snapshots]
         report.add_check(diag.check_support(speeds, speeds[0], dcfg["support_tol"],
                                             "agent_speed_max_principle"))
-    kio.write_agent_snapshots(os.path.join(out_dir, "agents.csv"), snaps, steps)
+    kio.write_particle_snapshots(os.path.join(out_dir, "agents.csv"),
+                                 result.snapshots, result.snapshot_steps)
     return report
 
 

@@ -71,7 +71,7 @@ def meanfield_distance(agents, kinetic, probe_points, r):
     """L1-over-probe-grid distance between mass-normalized (rho_r, j_r)
     moment fields of the empirical agent measure and the kinetic ensemble."""
     probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    rho_a, j_a = moments_at_points(agents.positions, agents.velocities,
+    rho_a, j_a = moments_at_points(agents.x, agents.v,
                                    np.full(agents.n, 1.0 / max(agents.n, 1)), probe_points, r)
     rho_k, j_k = moments_at_points(kinetic.x, kinetic.v, kinetic.mass, probe_points, r)
     mk = kinetic.total_mass

@@ -27,7 +27,7 @@ from kinflock.fixed_point import FieldGrid, apply_F, picard_solve
 from kinflock.kinetic import (InitialDistributionSpec, mean_field, run_linear,
                               run_self_consistent, sample_initial)
 from kinflock.oracle import PhaseGrid, oracle_lp_norm, run_oracle
-from kinflock.phase import AgentState, Ensemble, exact_step, march
+from kinflock.phase import Ensemble, exact_step, march
 from kinflock.runner import initial_spec_from_config
 from measures import law_deviations, meanfield_distance, pushforward_sum, quadrature_pushforward
 
@@ -39,12 +39,17 @@ def _verdict(num, desc, ok, value):
     assert ok, line
 
 
+def _agents(x, v):
+    """1D agents at x with velocities v: unit masses with no density."""
+    return Ensemble(0.0, 1, 1.0, 1.0, x, v, np.ones(len(x)))
+
+
 def _agent_step(state, dt, lam, r):
     """The state after one agent step as `kinflock run` takes it: toward
     `mean_field` on unit masses at the agents."""
-    x, v = state.positions, state.velocities
-    ubar = mean_field(x, v, np.ones(len(x)), x, r)
-    return AgentState(state.t + dt, state.dim, *exact_step(x, v, ubar, lam, dt))
+    x, v = state.x, state.v
+    ubar = mean_field(x, v, state.mass, x, r)
+    return state.stepped(state.t + dt, *exact_step(x, v, ubar, lam, dt))
 
 
 def scenario(name):
@@ -236,11 +241,11 @@ def test_criterion_7_exact_frozen_field_step():
                        initial_support_bound=1.0)
         ens = run_linear(ens, field, 1.0, dt, snapshot_stride=10 ** 9).snapshots[-1]
         worst = max(worst, abs(ens.v[0, 0] - v_exact), abs(ens.x[0, 0] - x_exact))
-        pair = march(AgentState(0.0, 1, x0, v0),
+        pair = march(_agents(x0, v0),
                      lambda s, k, t: _agent_step(s, dt, lam, r=10.0),
                      1.0, dt, 10 ** 9)[0][-1]
-        worst_agent = max(worst_agent, np.abs(pair.velocities - v_pair).max(),
-                          np.abs(pair.positions - x_pair).max())
+        worst_agent = max(worst_agent, np.abs(pair.v - v_pair).max(),
+                          np.abs(pair.x - x_pair).max())
     _verdict(7, "constant-field trajectory of particles and of an agent pair "
              "with mean velocity E matches closed form to 1e-12 for all dt",
              max(worst, worst_agent) <= 1e-12,
@@ -249,20 +254,20 @@ def test_criterion_7_exact_frozen_field_step():
 
 def test_criterion_8_flocking_decay():
     lam = 1.0
-    state = AgentState(0.0, 1, np.array([[0.0], [0.1]]), np.array([[1.0], [-1.0]]))
+    state = _agents(np.array([[0.0], [0.1]]), np.array([[1.0], [-1.0]]))
     for _ in range(10):
         state = _agent_step(state, 0.1, lam, r=10.0)
-    diam_err = abs((state.velocities[0, 0] - state.velocities[1, 0])
+    diam_err = abs((state.v[0, 0] - state.v[1, 0])
                    - 2.0 * np.exp(-lam))
 
     cfg = scenario("agents_cluster.json")
     rng = cfg.seed_streams()[0]
     from kinflock.runner import sample_agents
-    cluster, _ = sample_agents(cfg, rng)
-    variances = [flocking_metrics(cluster.positions, cluster.velocities)[0]]
+    cluster = sample_agents(cfg, rng)
+    variances = [flocking_metrics(cluster.x, cluster.v)[0]]
     for _ in range(int(round(cfg["t_final"] / cfg["dt"]))):
         cluster = _agent_step(cluster, cfg["dt"], cfg["lam"], cfg["radius"])
-        variances.append(flocking_metrics(cluster.positions, cluster.velocities)[0])
+        variances.append(flocking_metrics(cluster.x, cluster.v)[0])
     monotone = all(b <= a + 1e-14 for a, b in zip(variances, variances[1:]))
     ok = diam_err <= 1e-9 and monotone
     _verdict(8, "pair diameter e^{-lam} within 1e-9; cluster velocity "
@@ -348,7 +353,7 @@ def test_criterion_11_meanfield_trend():
         full = sample_initial(make_spec(("monte_carlo", max(sizes))),
                               lam, r, rng=np.random.default_rng(seed))
         for n in sizes:
-            st = AgentState(0.0, 1, full.x[:n], full.v[:n])
+            st = _agents(full.x[:n], full.v[:n])
             for _ in range(int(round(T / dt))):
                 st = _agent_step(st, dt, lam, r)
             dists[n].append(meanfield_distance(st, ref, probes, r))

@@ -8,13 +8,15 @@ import pytest
 from kinflock import kinetic, runner
 from kinflock.cli import main
 from kinflock.config import validate_config
+from kinflock.io import write_particle_snapshots
 from kinflock.kinetic import mean_field, run_self_consistent
-from kinflock.phase import AgentState, Ensemble, exact_step, march
+from kinflock.phase import Ensemble, exact_step, march
 from measures import brute_force_radius
 
 
 def make_state(x, v, dim=1):
-    return AgentState(0.0, dim, np.asarray(x, float), np.asarray(v, float))
+    """Agents at x with velocities v: unit masses with no density."""
+    return Ensemble(0.0, dim, 1.0, 1.0, x, v, np.ones(len(x)))
 
 
 def mean_velocity(x, v, r):
@@ -26,13 +28,13 @@ def mean_velocity(x, v, r):
 def acceleration(state, r=1.0, lam=1.0):
     """lam*(ubar - v), the frozen-field acceleration of the cut-off model:
     what each agent relaxes toward and how fast, as `kinflock run` steps it."""
-    return lam * (mean_velocity(state.positions, state.velocities, r) - state.velocities)
+    return lam * (mean_velocity(state.x, state.v, r) - state.v)
 
 
 def step(state, dt, r=1.0, lam=1.0):
     """The state after one agent step as `kinflock run` takes it."""
-    x, v = state.positions, state.velocities
-    return AgentState(state.t + dt, state.dim, *exact_step(x, v, mean_velocity(x, v, r), lam, dt))
+    x, v = state.x, state.v
+    return state.stepped(state.t + dt, *exact_step(x, v, mean_velocity(x, v, r), lam, dt))
 
 
 class TestCutoffRhs:
@@ -61,9 +63,9 @@ class TestCutoffRhs:
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 1, size=(20, 2))
         v = rng.normal(size=(20, 2))
-        base = acceleration(AgentState(0.0, 2, x, v), r=0.3)
-        boosted = acceleration(AgentState(0.0, 2, x, v + 2.0), r=0.3)
-        shifted = acceleration(AgentState(0.0, 2, x + 7.0, v), r=0.3)
+        base = acceleration(make_state(x, v, 2), r=0.3)
+        boosted = acceleration(make_state(x, v + 2.0, 2), r=0.3)
+        shifted = acceleration(make_state(x + 7.0, v, 2), r=0.3)
         assert np.allclose(base, boosted, atol=1e-13)
         assert np.allclose(base, shifted, atol=1e-12)
 
@@ -80,7 +82,7 @@ class TestMtRhs:
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 0.1, size=(8, 2))
         v = rng.normal(size=(8, 2))
-        state = AgentState(0.0, 2, x, v)
+        state = make_state(x, v, 2)
         assert np.allclose(acceleration(state, r=1.0), v.mean(axis=0) - v, atol=1e-14)
 
     def test_separated_clusters_decouple(self):
@@ -89,9 +91,9 @@ class TestMtRhs:
         xb = rng.uniform(50, 50.1, size=(3, 1))
         va = rng.normal(size=(4, 1))
         vb = rng.normal(size=(3, 1))
-        joint = acceleration(AgentState(0.0, 1, np.vstack([xa, xb]), np.vstack([va, vb])))
-        only_a = acceleration(AgentState(0.0, 1, xa, va))
-        only_b = acceleration(AgentState(0.0, 1, xb, vb))
+        joint = acceleration(make_state(np.vstack([xa, xb]), np.vstack([va, vb])))
+        only_a = acceleration(make_state(xa, va))
+        only_b = acceleration(make_state(xb, vb))
         assert np.allclose(joint[:4], only_a, atol=1e-14)
         assert np.allclose(joint[4:], only_b, atol=1e-14)
 
@@ -102,26 +104,26 @@ class TestIntegration:
         state = make_state([[0.0], [1.0]], [[1.0], [-1.0]])
         out = step(state, 0.25, r=0.5)
         assert out.t == 0.25
-        assert np.array_equal(out.positions, [[0.25], [0.75]])
-        assert np.array_equal(out.velocities, state.velocities)
+        assert np.array_equal(out.x, [[0.25], [0.75]])
+        assert np.array_equal(out.v, state.v)
 
     def test_exponential_scheme_exact_for_coupled_pair(self):
         # d(v1-v2)/dt = -lam (v1-v2) while the pair stays coupled
         state = make_state([[0.0], [0.1]], [[1.0], [-1.0]])
         for _ in range(10):
             state = step(state, 0.1, r=10.0)
-        got = state.velocities[0, 0] - state.velocities[1, 0]
+        got = state.v[0, 0] - state.v[1, 0]
         assert got == pytest.approx(2.0 * np.exp(-1.0), abs=1e-13)
 
     def test_max_principle_at_large_lam_dt(self):
         # lam*dt = 2.5: every new velocity is still a convex combination of
         # the old ones, so no speed grows
         rng = np.random.default_rng(8)
-        state = AgentState(0.0, 2, rng.uniform(0, 0.2, (30, 2)), rng.normal(size=(30, 2)))
+        state = make_state(rng.uniform(0, 0.2, (30, 2)), rng.normal(size=(30, 2)), 2)
         for _ in range(20):
-            before = np.sqrt((state.velocities ** 2).sum(axis=1)).max()
+            before = np.sqrt((state.v ** 2).sum(axis=1)).max()
             state = step(state, 2.5, r=0.1)
-            after = np.sqrt((state.velocities ** 2).sum(axis=1)).max()
+            after = np.sqrt((state.v ** 2).sum(axis=1)).max()
             assert after <= before + 1e-12
 
     @pytest.mark.parametrize("dt", [1.0, 0.25, 0.05])
@@ -132,9 +134,9 @@ class TestIntegration:
         state = make_state([[0.0], [0.1], [100.0]], [[1.0], [-1.0], [0.5]])
         snaps, _ = march(state, lambda s, k, t: step(s, dt, 10.0, lam), 2.0, dt, 1)
         for s in snaps:
-            w = s.velocities[0, 0] - s.velocities[1, 0]
+            w = s.v[0, 0] - s.v[1, 0]
             assert abs(w - w0 * np.exp(-lam * s.t)) <= 1e-13
-            assert s.velocities[2, 0] == 0.5
+            assert s.v[2, 0] == 0.5
 
 
 class TestIndicatorKernel:
@@ -145,7 +147,7 @@ class TestIndicatorKernel:
         # |x_1 - x_0| rounds to r = 0.1 under sqrt, but its square is below r*r
         x = np.array([[0.8574042765875693, 0.033585575305464355],
                       [0.844656200459909, -0.06559852904116659]])
-        state = AgentState(0.0, 2, x, [[0.0, 0.0], [1.0, 0.0]])
+        state = make_state(x, [[0.0, 0.0], [1.0, 0.0]], 2)
         assert brute_force_radius(x, x[0], 0.1).tolist() == [0, 1]
         assert acceleration(state, r=0.1).tolist() == [[0.5, 0.0], [-0.5, 0.0]]
 
@@ -164,7 +166,7 @@ class TestIndicatorKernel:
     def test_memory_does_not_grow_with_n_squared(self):
         # dense (N, N, d) temporaries would take over 400 MB here
         rng = np.random.default_rng(14)
-        state = AgentState(0.0, 2, rng.uniform(0, 1, (3000, 2)), rng.normal(size=(3000, 2)))
+        state = make_state(rng.uniform(0, 1, (3000, 2)), rng.normal(size=(3000, 2)), 2)
         tracemalloc.start()
         try:
             acceleration(state, r=0.05)
@@ -190,28 +192,66 @@ def test_each_step_of_a_run_makes_one_neighbourhood_sum(tmp_path, monkeypatch, m
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_an_agent_step_is_the_kinetic_step_on_unit_masses(tmp_path, monkeypatch, dim):
-    # one step of `kinflock run` in agents mode is one run_self_consistent
-    # step of an ensemble of unit masses, density values and volumes at
-    # delta = 0, bit for bit: both step toward the same mean_field
-    rng = np.random.default_rng(20 + dim)
+def test_an_agent_step_is_the_kinetic_step_on_unit_masses(tmp_path, dim):
+    # the agents.csv of `kinflock run` in agents mode is run_self_consistent
+    # on the unit masses `sample_agents` draws, at delta = 0, byte for byte;
+    # and that step is the step of unit masses that carry unit density
+    # values and volumes: both step toward the same mean_field
     n, lam, r, dt = 300, 1.3, 0.2, 0.05
-    x, v = rng.uniform(0, 1, (n, dim)), rng.normal(size=(n, dim))
-    cfg = validate_config({
-        "mode": "agents", "dim": dim, "lam": lam, "radius": r, "dt": dt, "t_final": dt,
-        "n_agents": n, "initial": {"kind": "box_indicator", "x_bounds": [[0.0, 1.0]] * dim,
-                                   "v_bounds": [[-1.0, 1.0]] * dim}})
-    written = {}
-    monkeypatch.setattr(runner, "sample_agents",
-                        lambda cfg, rng: (AgentState(0.0, dim, x, v), None))
-    monkeypatch.setattr(runner.kio, "write_agent_snapshots",
-                        lambda path, snaps, steps: written.update(snaps=snaps))
-    runner.run_agents(cfg, str(tmp_path))
-    ones = np.ones(n)
+    data = {"mode": "agents", "dim": dim, "lam": lam, "radius": r, "dt": dt, "t_final": dt,
+            "n_agents": n, "initial": {"kind": "box_indicator",
+                                       "x_bounds": [[0.0, 1.0]] * dim,
+                                       "v_bounds": [[-1.0, 1.0]] * dim}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    cfg = validate_config(data)
+    agents = runner.sample_agents(cfg, cfg.seed_streams()[0])
+    assert agents.n == n and agents.density0 is None and np.all(agents.mass == 1.0)
+    result = run_self_consistent(agents, dt, dt, delta=0.0)
+    write_particle_snapshots(str(tmp_path / "kinetic.csv"), result.snapshots,
+                             result.snapshot_steps)
+    written = (tmp_path / "out" / "agents.csv").read_bytes()
+    assert written == (tmp_path / "kinetic.csv").read_bytes()
+    x, v, ones = agents.x, agents.v, np.ones(n)
     ens = Ensemble(0.0, dim, lam, r, x, v, ones, ones, ones,
-                   initial_support_bound=float(np.sqrt((v ** 2).sum(axis=1)).max()))
-    kin = run_self_consistent(ens, dt, dt, delta=0.0).snapshots[-1]
-    agents = written["snaps"][-1]
-    assert agents.t == kin.t == dt
-    assert np.array_equal(agents.positions, kin.x) and np.array_equal(agents.velocities, kin.v)
+                   initial_support_bound=agents.initial_support_bound)
+    kin, moved = run_self_consistent(ens, dt, dt, delta=0.0).snapshots[-1], result.snapshots[-1]
+    assert moved.t == kin.t == dt
+    assert np.array_equal(moved.x, kin.x) and np.array_equal(moved.v, kin.v)
     assert not np.array_equal(kin.v, v)  # the step moved the velocities
+
+
+def _agents_cluster(tmp_path, name, change):
+    """`kinflock run` of agents_cluster with `change` applied to its config:
+    the exit code and the path of its agents.csv."""
+    data = json.loads(resources.files("kinflock.scenarios")
+                      .joinpath("agents_cluster.json").read_text())
+    change(data)
+    cfg, out = tmp_path / f"{name}.json", tmp_path / name
+    cfg.write_text(json.dumps(data))
+    return main(["run", "--config", str(cfg), "--out", str(out)]), out / "agents.csv"
+
+
+def test_agents_have_no_horizon(tmp_path, capsys):
+    # lam*dim*t = 1600 at t = 800 is far past the horizon e^{lam*dim*t}
+    # gives particles with density, but unit masses carry none
+    code, csv = _agents_cluster(tmp_path, "long", lambda d: d.update(dt=1, t_final=800))
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = csv.read_text().splitlines()
+    assert captured.out.splitlines()[-1].startswith("[PASS] agent_speed_max_principle")
+    assert rows[0] == "step,t,id,x0,x1,v0,v1"
+    assert {row.split(",")[0] for row in rows[1:]} >= {"0", "800"}
+
+
+def test_fast_and_absent_agents_run(tmp_path, capsys):
+    def fast(d):
+        d["initial"].update(v_bounds=[[-1e12, 1e12]] * 2, v_sigma=5e11)
+        d["diagnostics"] = {"support_tol": 1e6}
+
+    code, csv = _agents_cluster(tmp_path, "fast", fast)
+    assert code == 0 and len(csv.read_text().splitlines()) == 1 + 100 * 11
+    assert capsys.readouterr().out.splitlines()[-1].startswith("[PASS] ")
+    code, csv = _agents_cluster(tmp_path, "none", lambda d: d.update(n_agents=0))
+    assert code == 0 and csv.read_text() == "step,t,id,x0,x1,v0,v1\n"

@@ -563,16 +563,19 @@ class TestCli:
         # f0 decays like exp(-(4 - x)**2 / 0.125), so draws crowd the edge x = 1
         assert len(x0) == 20 and (x0 > 0.5).all() and (x0 <= 1.0).all()
 
-    @pytest.mark.parametrize("scenario, change", [
-        ("oracle_l2.json", {"amplitude": 1e80}),
-        ("oracle_l2.json", {"amplitude": 1e300}),
-        ("kinetic_two_bump.json", {"x_sigma": 1e-155}),
+    @pytest.mark.parametrize("scenario, change, code", [
+        ("oracle_l2.json", {"amplitude": 1e80}, 0),
+        ("oracle_l2.json", {"amplitude": 1e300}, 0),
+        ("kinetic_two_bump.json", {"x_sigma": 1e-155}, 2),
     ], ids=["oracle-amplitude-1e80", "oracle-amplitude-1e300", "sigma-1e-155"])
-    def test_extreme_f0_scales_run_without_a_numpy_warning(self, tmp_path, scenario, change):
+    def test_extreme_f0_scales_run_without_a_numpy_warning(self, tmp_path, scenario, change,
+                                                           code):
         # in a fresh interpreter, outside the warnings-as-errors filter: the
         # grid values to the power 4 overflow, so the oracle's L^p norm
         # rescales by the largest value; a sigma of 1e-155 takes the Gaussian
         # exponent to -inf, whose exp is the right 0.  numpy warned of both.
+        # That f0 has mass but is 0 at every tensor_grid cell centre, so both
+        # commands stop with one configuration error line before the run.
         data = json.loads(Path(scenario_path(scenario)).read_text())
         data["initial"].update(change)
         cfg = tmp_path / "cfg.json"
@@ -582,6 +585,13 @@ class TestCli:
                                env=dict(os.environ, PYTHONPATH=src),
                                capture_output=True, text=True, timeout=60)
                 for args in (["validate"], ["run", "--out", str(tmp_path / "out")])]
+        if code == 2:
+            assert [r.returncode for r in runs] == [2, 2]
+            assert runs[0].stderr == runs[1].stderr
+            assert runs[0].stderr.startswith("configuration error: ")
+            assert runs[0].stderr.count("\n") == 1 and "n_x or n_v" in runs[0].stderr
+            assert not (tmp_path / "out").exists()
+            return
         assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
         assert runs[0].stdout == "config is valid\n"
         lines = runs[1].stdout.splitlines()
@@ -667,12 +677,12 @@ class TestCli:
         data = json.loads(Path(scenario_path("agents_cluster.json")).read_text())
         data["initial"].update(change)
         cfg = validate_config(dict(data, seed=seed))
-        state, _ = runner.sample_agents(cfg, cfg.seed_streams()[0])
+        state = runner.sample_agents(cfg, cfg.seed_streams()[0])
         spec = runner.initial_spec_from_config(cfg)
         spec.sampling = ("monte_carlo", cfg["n_agents"])
         ens = sample_initial(spec, cfg["lam"], cfg["radius"], rng=cfg.seed_streams()[0])
         assert state.n == ens.n == 100
-        assert np.array_equal(state.positions, ens.x) and np.array_equal(state.velocities, ens.v)
+        assert np.array_equal(state.x, ens.x) and np.array_equal(state.v, ens.v)
 
     @pytest.mark.parametrize("data, snapshots, code", UNSHIPPED_PATHS)
     def test_unshipped_schema_paths_run(self, tmp_path, capsys, data, snapshots, code):

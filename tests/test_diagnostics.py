@@ -13,8 +13,13 @@ from kinflock.diagnostics import (DiagnosticsReport, check_density_growth,
 from kinflock.errors import InvalidInputError
 from kinflock.kinetic import run_linear, run_self_consistent
 from kinflock.oracle import PhaseGrid, oracle_lp_norm, run_oracle
-from kinflock.phase import AgentState, Ensemble
+from kinflock.phase import Ensemble
 from measures import law_deviations, meanfield_distance, pushforward_sum
+
+
+def _agents(x, v):
+    """1D agents at x with velocities v: unit masses with no density."""
+    return Ensemble(0.0, 1, 1.0, 1.0, x, v, np.ones(len(x)))
 
 
 def make_ensemble(t=0.0, lam=1.0, dim=1, n=4, seed=0):
@@ -228,13 +233,13 @@ class TestOrderParameters:
         assert flocking_metrics(np.zeros((0, 2)), np.zeros((0, 2))) == (0.0, 0.0, 0.0)
 
     def test_agent_state_two_points(self):
-        state = AgentState(0.0, 1, np.array([[0.0], [3.0]]), np.array([[1.0], [-1.0]]))
-        var, vdiam, xdiam = flocking_metrics(state.positions, state.velocities)
+        state = _agents(np.array([[0.0], [3.0]]), np.array([[1.0], [-1.0]]))
+        var, vdiam, xdiam = flocking_metrics(state.x, state.v)
         assert var == pytest.approx(1.0)
         assert vdiam == pytest.approx(2.0)
         assert xdiam == pytest.approx(3.0)
         # weights 2 and 1 move the mean velocity to 1/3: variance 8/9
-        var, _, _ = flocking_metrics(state.positions, state.velocities, np.array([2.0, 1.0]))
+        var, _, _ = flocking_metrics(state.x, state.v, np.array([2.0, 1.0]))
         assert var == pytest.approx(8.0 / 9.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -298,7 +303,7 @@ class TestMeanfieldDistance:
         n = 50
         x = rng.uniform(0, 1, (n, 1))
         v = rng.normal(size=(n, 1))
-        agents = AgentState(0.0, 1, x, v)
+        agents = _agents(x, v)
         ens = Ensemble(0.0, 1, 1.0, 0.3, x, v, np.full(n, 1.0 / n), np.ones(n),
                        np.full(n, 1.0 / n), initial_support_bound=10.0)
         probes = np.linspace(0, 1, 9)[:, None]
@@ -309,14 +314,14 @@ class TestMeanfieldDistance:
         n = 50
         x = rng.uniform(0, 1, (n, 1))
         v = rng.normal(size=(n, 1))
-        agents = AgentState(0.0, 1, x, v)
+        agents = _agents(x, v)
         heavy = Ensemble(0.0, 1, 1.0, 0.3, x, v, np.full(n, 7.0 / n), np.ones(n),
                          np.full(n, 7.0 / n), initial_support_bound=10.0)
         probes = np.linspace(0, 1, 9)[:, None]
         assert meanfield_distance(agents, heavy, probes, 0.3) == pytest.approx(0.0, abs=1e-14)
 
     def test_disjoint_clouds_positive(self):
-        agents = AgentState(0.0, 1, np.zeros((10, 1)), np.ones((10, 1)))
+        agents = _agents(np.zeros((10, 1)), np.ones((10, 1)))
         ens = Ensemble(0.0, 1, 1.0, 0.3, np.full((10, 1), 5.0), np.ones((10, 1)),
                        np.full(10, 0.1), np.ones(10), np.full(10, 0.1),
                        initial_support_bound=10.0)

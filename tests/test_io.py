@@ -25,7 +25,7 @@ from kinflock.diagnostics import DiagnosticsReport
 from kinflock.fixed_point import FieldGrid
 from kinflock.io import fmt
 from kinflock.oracle import PhaseGrid
-from kinflock.phase import AgentState, Ensemble
+from kinflock.phase import Ensemble
 
 SPECIAL = [-0.0, 5e-324, 0.1, 1e22, 3.0, -7.0, 2.0 ** 53, -1e-300, np.pi]
 POSITIVE = [5e-324, 0.1, 1e22, 3.0, 2.0 ** 53, 1e-300, np.pi]
@@ -98,8 +98,8 @@ def ref_agents(path, snapshots, steps):
     header = (["step", "t", "id"] + [f"x{k}" for k in range(dim)]
               + [f"v{k}" for k in range(dim)])
     _ref_rows(path, header, (
-        [str(step), fmt(s.t), str(i)] + [fmt(c) for c in s.positions[i]]
-        + [fmt(c) for c in s.velocities[i]]
+        [str(step), fmt(s.t), str(i)] + [fmt(c) for c in s.x[i]]
+        + [fmt(c) for c in s.v[i]]
         for step, s in zip(steps, snapshots) for i in range(s.n)))
 
 
@@ -180,10 +180,11 @@ def test_particles_without_snapshots_writes_header(tmp_path, rows_per_write):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_agents(tmp_path, rows_per_write, dim):
     rng = np.random.default_rng(10 + dim)
-    snaps = [AgentState(t, dim, _values(rng, n, SPECIAL, (dim,)),
-                        _values(rng, n, SPECIAL, (dim,)))
+    # agents: unit masses with no density, written without the density columns
+    snaps = [Ensemble(t, dim, 1.0, 1.0, _values(rng, n, SPECIAL, (dim,)),
+                      _values(rng, n, SPECIAL, (dim,)), np.ones(n))
              for n, t in [(21, 0.0), (0, 0.25), (9, 5e-324)]]
-    assert_same(tmp_path, kio.write_agent_snapshots, ref_agents, snaps, [0, 1, 2])
+    assert_same(tmp_path, kio.write_particle_snapshots, ref_agents, snaps, [0, 1, 2])
 
 
 @pytest.mark.parametrize("n_x,n_v", [(5, 3), (128, 128)])
